@@ -25,6 +25,8 @@ package capacity
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 
 	"repro/internal/geometry"
 	"repro/internal/units"
@@ -135,6 +137,64 @@ type Layout struct {
 	Zones []Zone
 
 	totalSectors int64
+
+	// idx is Locate's zone index, built on first use: roadmap sweeps and
+	// candidate-layout searches derive many layouts that never map an LBN.
+	idxOnce sync.Once
+	idx     zoneIndex
+}
+
+// zoneIndex finds the zone holding an LBN in O(1). Bucket b covers LBNs
+// [b<<shift, (b+1)<<shift). No bucket is longer than the smallest non-empty
+// zone, so at most one zone boundary falls inside a bucket, and one
+// comparison against it picks the zone.
+type zoneIndex struct {
+	shift  uint
+	bucket []zoneBucket
+}
+
+// zoneBucket resolves the LBNs of one bucket: those below next lie in zone
+// lo, the rest in zone hi. Each is the highest-numbered zone starting at or
+// before the LBN, which skips empty zones (an empty zone shares its FirstLBN
+// with the next one).
+type zoneBucket struct {
+	next   int64
+	lo, hi int32
+}
+
+// buildIndex fills l.idx. Locate calls it only for layouts with sectors.
+func (l *Layout) buildIndex() {
+	// zoneAt returns the highest zone starting at or before lbn, scanning
+	// up from zone z.
+	zoneAt := func(z int, lbn int64) int {
+		for z+1 < len(l.Zones) && l.Zones[z+1].FirstLBN <= lbn {
+			z++
+		}
+		return z
+	}
+	minZone := l.totalSectors
+	for i, z := range l.Zones {
+		end := l.totalSectors
+		if i+1 < len(l.Zones) {
+			end = l.Zones[i+1].FirstLBN
+		}
+		if size := end - z.FirstLBN; size > 0 && size < minZone {
+			minZone = size
+		}
+	}
+	shift := uint(bits.Len64(uint64(minZone)) - 1) // 1<<shift <= minZone
+	buckets := make([]zoneBucket, (l.totalSectors-1)>>shift+1)
+	lo := 0
+	for b := range buckets {
+		lo = zoneAt(lo, int64(b)<<shift)
+		hi, next := lo, l.totalSectors
+		if lo+1 < len(l.Zones) {
+			next = l.Zones[lo+1].FirstLBN
+			hi = zoneAt(lo+1, next)
+		}
+		buckets[b] = zoneBucket{next: next, lo: int32(lo), hi: int32(hi)}
+	}
+	l.idx = zoneIndex{shift: shift, bucket: buckets}
 }
 
 // New derives the layout for a configuration.
@@ -292,17 +352,13 @@ func (l *Layout) Locate(lbn int64) (Location, error) {
 	if lbn < 0 || lbn >= l.totalSectors {
 		return Location{}, fmt.Errorf("capacity: LBN %d outside [0,%d)", lbn, l.totalSectors)
 	}
-	// Binary search the zone table by FirstLBN.
-	lo, hi := 0, len(l.Zones)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if l.Zones[mid].FirstLBN <= lbn {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+	l.idxOnce.Do(l.buildIndex)
+	bk := &l.idx.bucket[lbn>>l.idx.shift]
+	zi := bk.lo
+	if lbn >= bk.next {
+		zi = bk.hi
 	}
-	z := &l.Zones[lo]
+	z := &l.Zones[zi]
 	rel := lbn - z.FirstLBN
 	perCyl := int64(l.Surfaces) * int64(z.SectorsPerTrack)
 	cyl := z.FirstCylinder + int(rel/perCyl)

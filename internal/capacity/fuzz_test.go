@@ -1,6 +1,7 @@
 package capacity
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/geometry"
@@ -8,13 +9,16 @@ import (
 )
 
 // FuzzLayout ensures the layout derivation never panics across the
-// configuration space and that derived layouts keep their invariants.
+// configuration space, that derived layouts keep their invariants, and that
+// Locate agrees with the reference binary search at the fuzzed LBN (taken
+// modulo the address space, so out-of-range LBNs are covered too), at
+// every zone boundary and at a few seeded random LBNs.
 func FuzzLayout(f *testing.F) {
-	f.Add(533000.0, 64000.0, uint8(4), uint8(30))
-	f.Add(270000.0, 20000.0, uint8(1), uint8(50))
-	f.Add(1.0, 1.0, uint8(0), uint8(0))
-	f.Add(1.9e6, 540000.0, uint8(1), uint8(50))
-	f.Fuzz(func(t *testing.T, bpi, tpi float64, platters, zones uint8) {
+	f.Add(533000.0, 64000.0, uint8(4), uint8(30), int64(0))
+	f.Add(270000.0, 20000.0, uint8(1), uint8(50), int64(123456789))
+	f.Add(1.0, 1.0, uint8(0), uint8(0), int64(-1))
+	f.Add(1.9e6, 540000.0, uint8(1), uint8(50), int64(987654321987))
+	f.Fuzz(func(t *testing.T, bpi, tpi float64, platters, zones uint8, lbn int64) {
 		cfg := Config{
 			Geometry: geometry.Drive{
 				PlatterDiameter: 2.6,
@@ -33,6 +37,10 @@ func FuzzLayout(f *testing.F) {
 			t.Fatalf("capacity ordering violated: derated %v raw %v",
 				l.DeratedCapacity(), l.RawCapacity())
 		}
+		if n := l.TotalSectors() + 2; n > 2 {
+			checkLocateAt(t, l, lbn%n-1) // in [-n, n-2]: covers -1 and TotalSectors
+		}
+		CheckLocate(t, l, rand.New(rand.NewSource(lbn)), 16)
 		if l.TotalSectors() > 0 {
 			// First and last sectors must locate and round-trip.
 			for _, lbn := range []int64{0, l.TotalSectors() - 1, l.TotalSectors() / 2} {

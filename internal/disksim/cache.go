@@ -32,16 +32,20 @@ func newCache(totalBytes int64, segments int) *cache {
 // enabled reports whether the cache holds anything at all.
 func (c *cache) enabled() bool { return c.segSectors > 0 && cap(c.segments) > 0 }
 
-// lookup reports whether [lbn, lbn+n) is fully cached, touching the segment's
-// recency on a hit.
+// lookup reports whether [lbn, lbn+n) is fully cached, touching the first
+// containing segment's recency on a hit.
 func (c *cache) lookup(lbn int64, n int, now time.Duration) bool {
 	if !c.enabled() {
 		return false
 	}
 	end := lbn + int64(n)
 	for i := range c.segments {
-		if lbn >= c.segments[i].start && end <= c.segments[i].end {
-			c.segments[i].lastUse = now
+		s := &c.segments[i]
+		// Contained iff lbn >= start and end <= s.end: both differences
+		// are non-negative, so their OR has a clear sign bit. LBNs are
+		// bounded by the disk size, so neither difference overflows.
+		if (lbn-s.start)|(s.end-end) >= 0 {
+			s.lastUse = now
 			return true
 		}
 	}
@@ -65,27 +69,34 @@ func (c *cache) fill(lbn int64, n int, total int64, now time.Duration) {
 		c.segments = append(c.segments, s)
 		return
 	}
-	lru := 0
-	for i := 1; i < len(c.segments); i++ {
-		if c.segments[i].lastUse < c.segments[lru].lastUse {
-			lru = i
+	segs := c.segments
+	lru, oldest := 0, segs[0].lastUse
+	for i := 1; i < len(segs); i++ {
+		if segs[i].lastUse < oldest { // strict: the lowest index wins a tie
+			lru, oldest = i, segs[i].lastUse
 		}
 	}
-	c.segments[lru] = s
+	segs[lru] = s
 }
 
 // invalidate drops any segment overlapping a written range (write-through
-// with invalidation — the conservative policy for data integrity).
+// with invalidation — the conservative policy for data integrity). The
+// survivors keep their order, so lookup's first match and fill's LRU
+// tie-break are unchanged.
 func (c *cache) invalidate(lbn int64, n int) {
 	if !c.enabled() {
 		return
 	}
 	end := lbn + int64(n)
-	out := c.segments[:0]
-	for _, s := range c.segments {
-		if s.end <= lbn || s.start >= end {
-			out = append(out, s)
+	segs := c.segments
+	kept := 0
+	for i := range segs {
+		// Disjoint iff s.end <= lbn or s.start >= end: at least one of
+		// the two differences is non-negative, so their AND is too.
+		if (lbn-segs[i].end)&(segs[i].start-end) >= 0 {
+			segs[kept] = segs[i]
+			kept++
 		}
 	}
-	c.segments = out
+	c.segments = segs[:kept]
 }

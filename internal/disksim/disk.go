@@ -288,19 +288,35 @@ func (d *Disk) period() time.Duration { return d.rev }
 
 // Serve services one request, starting no earlier than the request's arrival
 // or the disk's ready time. Callers are responsible for ordering (Simulate
-// applies the configured scheduler).
+// applies the configured scheduler). It is ServeInto returning a fresh
+// Completion.
 func (d *Disk) Serve(r Request) (Completion, error) {
-	if err := r.Validate(d.layout.TotalSectors()); err != nil {
+	var c Completion
+	if err := d.ServeInto(&c, r); err != nil {
 		return Completion{}, err
 	}
+	return c, nil
+}
+
+// ServeInto is Serve writing the outcome into a caller-owned completion,
+// which hot loops reuse instead of copying a Completion per request. It
+// overwrites every field of *c; after an error *c is unspecified.
+func (d *Disk) ServeInto(c *Completion, r Request) error {
+	if err := r.Validate(d.layout.TotalSectors()); err != nil {
+		return err
+	}
 	if d.failed {
-		return Completion{}, fmt.Errorf("request %d: %w (at %v)", r.ID, ErrDiskFailed, d.failedAt)
+		return fmt.Errorf("request %d: %w (at %v)", r.ID, ErrDiskFailed, d.failedAt)
 	}
 	start := r.Arrival
 	if d.ready > start {
 		start = d.ready
 	}
-	c := Completion{Request: r, Start: start}
+	// Cleared, then filled in place: a composite literal would be built on
+	// the stack and copied into *c.
+	*c = Completion{}
+	c.Request = r
+	c.Start = start
 	c.Parts.Queue = start - r.Arrival
 	c.Parts.Overhead = d.cfg.Overhead
 	t := start + d.cfg.Overhead
@@ -315,14 +331,14 @@ func (d *Disk) Serve(r Request) (Completion, error) {
 		d.ready = c.Finish
 		d.served++
 		if d.ins != nil {
-			d.ins.record(&c, -1)
+			d.ins.record(c, -1)
 		}
-		return c, nil
+		return nil
 	}
 
 	loc, err := d.layout.Locate(r.LBN)
 	if err != nil {
-		return Completion{}, err
+		return err
 	}
 
 	// Seek.
@@ -361,11 +377,11 @@ func (d *Disk) Serve(r Request) (Completion, error) {
 	// to spares), or whole-disk failure.
 	if d.cfg.Faults != nil {
 		var err error
-		t, err = d.applyFaults(d.cfg.Faults.Access(start, r), r, &c, t, lastCyl, period)
+		t, err = d.applyFaults(d.cfg.Faults.Access(start, r), r, c, t, lastCyl, period)
 		if err != nil {
 			d.headCyl = lastCyl
 			d.ready = t
-			return Completion{}, err
+			return err
 		}
 	} else if d.cfg.RetryProb != nil {
 		// Deprecated single-retry path, kept for existing callers.
@@ -383,7 +399,7 @@ func (d *Disk) Serve(r Request) (Completion, error) {
 	d.ready = t
 	d.served++
 	if d.ins != nil {
-		d.ins.record(&c, zi)
+		d.ins.record(c, zi)
 	}
 
 	if r.Write {
@@ -391,7 +407,7 @@ func (d *Disk) Serve(r Request) (Completion, error) {
 	} else {
 		d.cache.fill(r.LBN, r.Sectors, d.layout.TotalSectors(), t)
 	}
-	return c, nil
+	return nil
 }
 
 // transferTime walks the request across tracks, charging media time per

@@ -55,8 +55,8 @@ func (s *diskStream) admit(e *sim.Engine) {
 }
 
 func (s *diskStream) serve(e *sim.Engine) {
-	c, err := s.d.Serve(s.r)
-	if err != nil {
+	var c Completion
+	if err := s.d.ServeInto(&c, s.r); err != nil {
 		s.failed = err
 		e.Fail(err)
 		return

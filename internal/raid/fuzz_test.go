@@ -8,30 +8,33 @@ import (
 	"repro/internal/geometry"
 )
 
-// fuzzVolume builds a small volume for Explode fuzzing without *testing.T
-// plumbing (FuzzExplode's seed corpus runs under plain go test too).
-func fuzzVolume(f *testing.F, level Level, n int) *Volume {
-	f.Helper()
+// fuzzVolume builds a small volume for Explode fuzzing from a testing.TB,
+// so FuzzExplode's seed corpus (which runs under plain go test) and unit
+// tests share it. Its 29-zone members hold 37,938,028 sectors, 12 past a
+// whole number of 16-sector stripe units, so striped volumes end in a
+// partial stripe row.
+func fuzzVolume(tb testing.TB, level Level, n int) *Volume {
+	tb.Helper()
 	layout, err := capacity.New(capacity.Config{
 		Geometry: geometry.Drive{PlatterDiameter: 3.3, Platters: 1, FormFactor: geometry.FormFactor35},
 		BPI:      456000,
 		TPI:      45000,
-		Zones:    30,
+		Zones:    29,
 	})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	disks := make([]*disksim.Disk, n)
 	for i := range disks {
 		d, err := disksim.New(disksim.Config{Layout: layout, RPM: 10000})
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 		disks[i] = d
 	}
 	v, err := New(level, disks, DefaultStripeUnit)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	return v
 }
@@ -48,6 +51,7 @@ func FuzzExplode(f *testing.F) {
 		fuzzVolume(f, RAID1, 2),
 	}
 	cap0 := vols[1].Capacity()
+	cap5 := vols[2].Capacity()
 	unit := vols[1].stripeUnit
 
 	// Seed corpus: the edge cases the checklist names.
@@ -58,6 +62,8 @@ func FuzzExplode(f *testing.F) {
 	f.Add(unit-1, 2, true)                   // straddling RMW write
 	f.Add(cap0-int64(unit), int(unit), true) // last stripe
 	f.Add(cap0-1, 1, false)                  // last sector
+	f.Add(cap0-40, 40, false)                // across the partial last row
+	f.Add(cap5-40, 40, true)                 // RAID-5 RMW across it
 	f.Add(cap0-1, 2, false)                  // runs past capacity
 	f.Add(cap0, 1, false)                    // starts past capacity
 	f.Add(int64(0), 1<<20, false)            // huge

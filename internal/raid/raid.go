@@ -102,6 +102,12 @@ type Volume struct {
 	stripeUnit int64
 	perDisk    int64 // addressable sectors per member disk
 
+	// tailStart is the first volume block of the final stripe row when
+	// perDisk is not a whole number of stripe units; that row's units hold
+	// only the perDisk%stripeUnit sectors the members have left. It equals
+	// the striped capacity when there is no partial row.
+	tailStart int64
+
 	writeBack time.Duration
 	readRR    int // RAID-1 read round-robin cursor
 
@@ -113,6 +119,11 @@ type Volume struct {
 	// (Explode). After the first few requests the buffer has grown to the
 	// workload's widest fan-out and mapping allocates nothing.
 	subScratch []sub
+
+	// subDone receives each member disk's completion in turn while a
+	// request is served; only its finish, breakdown and cache flag are
+	// read before the next sub-request overwrites it.
+	subDone disksim.Completion
 
 	// Degraded-mode state (see recovery.go).
 	failed   []bool
@@ -149,13 +160,19 @@ func New(level Level, disks []*disksim.Disk, stripeUnit int) (*Volume, error) {
 				i, d.Layout().TotalSectors(), per)
 		}
 	}
+	dataDisks := int64(len(disks))
+	if level == RAID5 {
+		dataDisks--
+	}
+	su := int64(stripeUnit)
 	// Copy the slice: the recovery engine swaps spares into members in
 	// place, which must not alias the caller's slice.
 	return &Volume{
 		disks:      append([]*disksim.Disk(nil), disks...),
 		level:      level,
-		stripeUnit: int64(stripeUnit),
+		stripeUnit: su,
 		perDisk:    per,
+		tailStart:  per / su * su * dataDisks,
 		failed:     make([]bool, len(disks)),
 		failedAt:   make([]time.Duration, len(disks)),
 	}, nil
@@ -288,14 +305,25 @@ func (v *Volume) stripeLoc(unit int64, raid5 bool) (dataDisk int, diskBase int64
 	return d, row * v.stripeUnit, p
 }
 
+// unitAt returns the stripe unit holding a volume block, the block's offset
+// in it and the unit's length: the stripe unit, or the members' leftover
+// sectors in a final partial row.
+func (v *Volume) unitAt(block int64) (unit, off, size int64) {
+	if block < v.tailStart {
+		return block / v.stripeUnit, block % v.stripeUnit, v.stripeUnit
+	}
+	tail := v.perDisk % v.stripeUnit
+	rel := block - v.tailStart
+	return v.tailStart/v.stripeUnit + rel/tail, rel % tail, tail
+}
+
 func (v *Volume) mapStriped(r Request, raid5 bool) []sub {
 	subs := v.subScratch[:0]
 	block := r.Block
 	remaining := int64(r.Sectors)
 	for remaining > 0 {
-		unit := block / v.stripeUnit
-		off := block % v.stripeUnit
-		n := v.stripeUnit - off
+		unit, off, size := v.unitAt(block)
+		n := size - off
 		if n > remaining {
 			n = remaining
 		}

@@ -126,6 +126,79 @@ func TestRAID5ParityNeverHoldsData(t *testing.T) {
 	}
 }
 
+// TestStripedTailRowStaysOnMembers is the regression for members whose size
+// is not a whole number of stripe units. Over the volume's last three rows
+// (the final one partial), every block maps to one member sector, no two
+// blocks share a sector, RAID-5 data never shares a sector with parity,
+// and data plus parity fill those rows of every member exactly. Requests
+// ending at the capacity are served, healthy and degraded.
+func TestStripedTailRowStaysOnMembers(t *testing.T) {
+	for _, level := range []Level{RAID0, RAID5} {
+		t.Run(level.String(), func(t *testing.T) {
+			v := fuzzVolume(t, level, 4)
+			tail := v.perDisk % v.stripeUnit
+			if tail == 0 {
+				t.Fatal("members are a whole number of stripe units; no partial row to test")
+			}
+			span := 2*v.stripeUnit + tail // the last three rows, per member
+			dataDisks := int64(len(v.disks))
+			if level == RAID5 {
+				dataDisks--
+			}
+			first := v.Capacity() - span*dataDisks
+			type sector struct {
+				disk int
+				lbn  int64
+			}
+			data := make(map[sector]bool)
+			parity := make(map[sector]bool)
+			for b := first; b < v.Capacity(); b++ {
+				subs, err := v.Explode(Request{ID: b, Block: b, Sectors: 1, Write: true})
+				if err != nil {
+					t.Fatalf("block %d: %v", b, err)
+				}
+				d := sector{subs[0].Disk, subs[0].Request.LBN}
+				if d.lbn < v.perDisk-span || d.lbn >= v.perDisk {
+					t.Fatalf("block %d maps to LBN %d, outside the last rows [%d,%d)",
+						b, d.lbn, v.perDisk-span, v.perDisk)
+				}
+				if data[d] {
+					t.Fatalf("block %d maps to disk %d LBN %d, already holding data", b, d.disk, d.lbn)
+				}
+				data[d] = true
+				if level == RAID5 { // RMW: old data, new data, old parity, new parity
+					parity[sector{subs[2].Disk, subs[2].Request.LBN}] = true
+				}
+			}
+			for p := range parity {
+				if data[p] {
+					t.Fatalf("disk %d LBN %d holds both data and parity", p.disk, p.lbn)
+				}
+			}
+			if got, want := int64(len(data)+len(parity)), span*int64(len(v.disks)); got != want {
+				t.Fatalf("data and parity cover %d member sectors of the last rows, want %d", got, want)
+			}
+
+			end := Request{ID: 1, Block: v.Capacity() - 40, Sectors: 40, Write: true}
+			if _, err := v.Serve(end); err != nil {
+				t.Fatalf("request ending at the capacity: %v", err)
+			}
+			if level == RAID5 {
+				s := newSession(t, fuzzVolume(t, level, 4), 0)
+				if err := s.FailDisk(1, 0); err != nil {
+					t.Fatal(err)
+				}
+				for _, write := range []bool{false, true} {
+					end.Write = write
+					if _, err := s.Serve(end); err != nil {
+						t.Fatalf("degraded request ending at the capacity (write=%t): %v", write, err)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestRAID5WriteFanout(t *testing.T) {
 	v := testVolume(t, RAID5, 4)
 	// A single-unit write costs 4 I/Os (read+write on data and parity).

@@ -347,9 +347,8 @@ func (s *RecoverySession) explodeRAID5Degraded(r Request, f int, rb *rebuild) de
 	block := r.Block
 	remaining := int64(r.Sectors)
 	for remaining > 0 {
-		unit := block / v.stripeUnit
-		off := block % v.stripeUnit
-		n := v.stripeUnit - off
+		unit, off, size := v.unitAt(block)
+		n := size - off
 		if n > remaining {
 			n = remaining
 		}
@@ -430,9 +429,9 @@ func (s *RecoverySession) Serve(r Request) (Completion, error) {
 		var finish time.Duration
 		failed := -1
 		c.SlowestDisk = -1
+		comp := &s.v.subDone
 		for _, sb := range ds.subs {
-			comp, err := s.v.disks[sb.disk].Serve(sb.req)
-			if err != nil {
+			if err := s.v.disks[sb.disk].ServeInto(comp, sb.req); err != nil {
 				if errors.Is(err, disksim.ErrDiskFailed) {
 					failed = sb.disk
 					break

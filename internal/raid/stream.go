@@ -16,15 +16,32 @@ import (
 // finish). This is the event-loop unit of work — RunStream admits one Serve
 // per arrival event.
 func (v *Volume) Serve(r Request) (Completion, error) {
-	subs, err := v.mapRequest(r)
-	if err != nil {
+	var c Completion
+	if err := v.serveInto(&c, r); err != nil {
 		return Completion{}, err
 	}
-	c := Completion{Request: r, SubRequests: len(subs), SlowestDisk: -1}
-	for _, sb := range subs {
-		comp, err := v.disks[sb.disk].Serve(sb.req)
-		if err != nil {
-			return Completion{}, err
+	return c, nil
+}
+
+// serveInto is Serve writing into a caller-owned completion; member disks
+// write theirs into the volume's scratch slot, so no Completion is copied
+// per sub-request. After an error *c is unspecified.
+func (v *Volume) serveInto(c *Completion, r Request) error {
+	subs, err := v.mapRequest(r)
+	if err != nil {
+		return err
+	}
+	// Cleared, then filled in place: a composite literal would be built on
+	// the stack and copied into *c.
+	*c = Completion{}
+	c.Request = r
+	c.SubRequests = len(subs)
+	c.SlowestDisk = -1
+	comp := &v.subDone
+	for i := range subs {
+		sb := &subs[i]
+		if err := v.disks[sb.disk].ServeInto(comp, sb.req); err != nil {
+			return err
 		}
 		// Deterministic slowest-sub pick: max finish, ties to the lowest
 		// member index (the order the batch join always scanned disks in).
@@ -41,8 +58,8 @@ func (v *Volume) Serve(r Request) (Completion, error) {
 	if v.writeBack > 0 && r.Write {
 		c.Finish = r.Arrival + v.writeBack
 	}
-	v.ins.record(&c)
-	return c, nil
+	v.ins.record(c)
+	return nil
 }
 
 // RunStream services volume requests pulled lazily from src, pushing each
@@ -98,8 +115,8 @@ func (s *volumeStream) admit(e *sim.Engine) {
 }
 
 func (s *volumeStream) serve(e *sim.Engine) {
-	c, err := s.v.Serve(s.r)
-	if err != nil {
+	var c Completion
+	if err := s.v.serveInto(&c, s.r); err != nil {
 		s.failed = err
 		e.Fail(err)
 		return

@@ -17,6 +17,7 @@ type Stream struct {
 	streams       []genStream
 	span          int64
 	meanGap       float64 // seconds between batches
+	sizeLogQ      float64 // geometricSize's log(1 - 1/MeanSectors)
 	volumeSectors int64
 	now           float64 // seconds
 	i             int
@@ -55,6 +56,7 @@ func (p Params) Stream(volumeSectors int64) (*Stream, error) {
 		// Preserve the configured mean rate despite zero-gap batches: the
 		// exponential gaps between batches are stretched accordingly.
 		meanGap:       1 / (p.ArrivalRate * (1 - p.BatchProb)),
+		sizeLogQ:      math.Log(1 - 1/float64(p.MeanSectors)),
 		volumeSectors: volumeSectors,
 	}, nil
 }
@@ -68,13 +70,13 @@ func (s *Stream) Next() (raid.Request, bool) {
 	if s.i >= s.p.Requests {
 		return raid.Request{}, false
 	}
-	p, rng := s.p, s.rng
+	p, rng := &s.p, s.rng
 	if s.i > 0 && rng.Float64() >= p.BatchProb {
 		s.now += rng.ExpFloat64() * s.meanGap
 	}
 
 	st := &s.streams[rng.Intn(len(s.streams))]
-	size := geometricSize(rng, p.MeanSectors)
+	size := geometricSize(rng, p.MeanSectors, s.sizeLogQ)
 
 	var block int64
 	if rng.Float64() < p.SeqFraction {
@@ -124,15 +126,15 @@ func (s *Stream) Next() (raid.Request, bool) {
 }
 
 // geometricSize draws a request size with the given mean, in sectors,
-// clamped to [1, maxRequestSectors].
-func geometricSize(rng *rand.Rand, mean int) int {
+// clamped to [1, maxRequestSectors]. logQ is math.Log(1-1/mean), which the
+// stream computes once.
+func geometricSize(rng *rand.Rand, mean int, logQ float64) int {
 	if mean <= 1 {
 		return 1
 	}
 	// Geometric with success probability 1/mean has mean `mean`.
-	pSuccess := 1 / float64(mean)
 	u := rng.Float64()
-	n := int(math.Ceil(math.Log(1-u) / math.Log(1-pSuccess)))
+	n := int(math.Ceil(math.Log(1-u) / logQ))
 	if n < 1 {
 		n = 1
 	}
