@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/disksim"
+	"repro/internal/sim"
 	"repro/internal/thermal"
 	"repro/internal/units"
 )
@@ -104,5 +106,36 @@ func TestDRPMBeatsFixedLowSpeed(t *testing.T) {
 	if res.MeanResponseMillis >= slowMean {
 		t.Errorf("DRPM (%.2f ms) not faster than fixed low speed (%.2f ms)",
 			res.MeanResponseMillis, slowMean)
+	}
+}
+
+// TestDRPMElapsedFromFirstArrival checks DRPM's Elapsed against the
+// documented meaning every other controller reports: last completion minus
+// first arrival, not the absolute finish time of the last request.
+func TestDRPMElapsedFromFirstArrival(t *testing.T) {
+	disk, th := buildDTMDisk(t, 24534)
+	reqs := dtmWorkload(t, disk.Layout().TotalSectors(), 200, 40)
+	for i := range reqs {
+		reqs[i].Arrival += 10 * time.Second // a first inter-arrival gap the span must not include
+	}
+	var collect sim.Appender[disksim.Completion]
+	p := DRPM{Disk: disk, Thermal: th, Levels: drpmLevels()}
+	res, err := p.RunStream(sim.NewEngine(), sim.FromSlice(reqs), &collect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := collect.Items[len(collect.Items)-1]
+	if want := last.Finish - reqs[0].Arrival; res.Elapsed != want {
+		t.Errorf("Elapsed %v, want last finish minus first arrival %v", res.Elapsed, want)
+	}
+
+	disk2, _ := buildDTMDisk(t, 24534)
+	ctl := Controller{Disk: disk2, Thermal: th}
+	cres, err := ctl.Run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cres.Elapsed != res.Elapsed {
+		t.Errorf("DRPM Elapsed %v differs from the watermark controller's %v on a cool run", res.Elapsed, cres.Elapsed)
 	}
 }
