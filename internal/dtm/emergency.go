@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"repro/internal/disksim"
-	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/thermal"
 	"repro/internal/units"
 )
@@ -189,27 +187,6 @@ func (e *Escalation) stageLines() (stepEngage, stepRelease, thrEngage, thrReleas
 	return
 }
 
-func (e *Escalation) flapWindow() time.Duration {
-	if e.FlapWindow == 0 {
-		return defaultFlapWindow
-	}
-	return e.FlapWindow
-}
-
-func (e *Escalation) ambientTemp() units.Celsius {
-	if e.Ambient == 0 {
-		return thermal.DefaultAmbient
-	}
-	return e.Ambient
-}
-
-func (e *Escalation) spinTransition() time.Duration {
-	if e.SpinTransition == 0 {
-		return 2 * time.Second
-	}
-	return e.SpinTransition
-}
-
 // offlineCoolLimit caps one spin-down cooling excursion.
 const offlineCoolLimit = 30 * time.Minute
 
@@ -218,17 +195,7 @@ const offlineCoolLimit = 30 * time.Minute
 // percentile computed exactly from the retained completions rather than
 // P²-estimated.
 func (e *Escalation) Run(reqs []disksim.Request) (EscalationResult, error) {
-	var collect sim.Appender[disksim.Completion]
-	res, err := e.RunStream(sim.NewEngine(), sim.FromSlice(reqs), &collect)
-	if err != nil {
-		return EscalationResult{}, err
-	}
-	res.Completions = collect.Items
-	var sample stats.Sample
-	for _, comp := range res.Completions {
-		sample.Add(comp.Response())
-	}
-	res.MeanResponseMillis = sample.Mean()
-	res.P95ResponseMillis = sample.Percentile(95)
-	return res, nil
+	res, b, err := runBatch(e.RunStream, reqs)
+	res.Completions, res.MeanResponseMillis, res.P95ResponseMillis = b.completions, b.mean, b.p95
+	return res, err
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/disksim"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/thermal"
 	"repro/internal/units"
 )
@@ -92,41 +91,6 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-func (c *Controller) envelope() units.Celsius {
-	if c.Envelope == 0 {
-		return thermal.Envelope
-	}
-	return c.Envelope
-}
-
-func (c *Controller) ambient() units.Celsius {
-	if c.Ambient == 0 {
-		return thermal.DefaultAmbient
-	}
-	return c.Ambient
-}
-
-func (c *Controller) guard() units.Celsius {
-	if c.Guard == 0 {
-		return 0.05
-	}
-	return c.Guard
-}
-
-func (c *Controller) hysteresis() units.Celsius {
-	if c.Hysteresis == 0 {
-		return 0.5
-	}
-	return c.Hysteresis
-}
-
-func (c *Controller) spinTransition() time.Duration {
-	if c.SpinTransition == 0 {
-		return 2 * time.Second
-	}
-	return c.SpinTransition
-}
-
 // coolLimit caps one cooling pause.
 const coolLimit = 10 * time.Minute
 
@@ -135,19 +99,9 @@ const coolLimit = 10 * time.Minute
 // collect-into-slice wrapper over RunStream, with the response percentile
 // computed exactly from the retained completions rather than P²-estimated.
 func (c *Controller) Run(reqs []disksim.Request) (Result, error) {
-	var collect sim.Appender[disksim.Completion]
-	res, err := c.RunStream(sim.NewEngine(), sim.FromSlice(reqs), &collect)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Completions = collect.Items
-	var sample stats.Sample
-	for _, comp := range res.Completions {
-		sample.Add(comp.Response())
-	}
-	res.MeanResponseMillis = sample.Mean()
-	res.P95ResponseMillis = sample.Percentile(95)
-	return res, nil
+	res, b, err := runBatch(c.RunStream, reqs)
+	res.Completions, res.MeanResponseMillis, res.P95ResponseMillis = b.completions, b.mean, b.p95
+	return res, err
 }
 
 // SlackRamp is the first DTM mechanism (section 5.2) as a closed-loop

@@ -10,14 +10,12 @@
 package dtm
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/disksim"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/thermal"
 	"repro/internal/units"
 )
@@ -261,41 +259,6 @@ type PredictiveResult struct {
 // number comparable with the reactive controllers' counters.
 func (r PredictiveResult) ThrottleEvents() int { return r.EarlyThrottles + r.ReactiveThrottles }
 
-func (pc *PredictiveController) envelope() units.Celsius {
-	if pc.Envelope == 0 {
-		return thermal.Envelope
-	}
-	return pc.Envelope
-}
-
-func (pc *PredictiveController) ambient() units.Celsius {
-	if pc.Ambient == 0 {
-		return thermal.DefaultAmbient
-	}
-	return pc.Ambient
-}
-
-func (pc *PredictiveController) leadTime() time.Duration {
-	if pc.LeadTime == 0 {
-		return 4 * time.Second
-	}
-	return pc.LeadTime
-}
-
-func (pc *PredictiveController) spinTransition() time.Duration {
-	if pc.SpinTransition == 0 {
-		return 2 * time.Second
-	}
-	return pc.SpinTransition
-}
-
-func (pc *PredictiveController) flapWindow() time.Duration {
-	if pc.FlapWindow == 0 {
-		return defaultFlapWindow
-	}
-	return pc.FlapWindow
-}
-
 // RunStream services requests pulled lazily from src under the predictive
 // policy, pushing completions to sink. The source must yield requests in
 // nondecreasing arrival order (FCFS). Steady-state service is allocation
@@ -317,188 +280,77 @@ func (pc *PredictiveController) RunStream(eng *sim.Engine, src sim.Source[disksi
 	if reactB.Release < reactB.Engage {
 		return PredictiveResult{}, fmt.Errorf("dtm: reactive release margin %v inside engage margin %v", reactB.Release, reactB.Engage)
 	}
-	if eng == nil {
-		eng = sim.NewEngine()
-	}
-	highRPM := pc.Disk.RPM()
-	env := pc.envelope()
-	amb := pc.ambient()
-	lead := pc.leadTime()
+	env := valueOr(pc.Envelope, thermal.Envelope)
+	lead := valueOr(pc.LeadTime, 4*time.Second)
 	predEngageAt := predB.engageAt(env)
 	predReleaseAt := predB.releaseAt(env)
 	reactEngageAt := reactB.engageAt(env)
 	reactReleaseAt := reactB.releaseAt(env)
-
-	idleLoad := thermal.Load{RPM: highRPM, VCMDuty: 0, Ambient: amb}
-	busyLoad := thermal.Load{RPM: highRPM, VCMDuty: 1, Ambient: amb}
-	coolDown := idleLoad
-	if pc.Mode == VCMAndRPM {
-		coolDown.RPM = pc.LowRPM
-	}
 	predCool := func(s thermal.State) bool { return s.Air <= predReleaseAt }
 	reactCool := func(s thermal.State) bool { return s.Air <= reactReleaseAt }
-
-	start0 := thermal.Uniform(amb)
-	if pc.Initial != nil {
-		start0 = *pc.Initial
+	predFlaps := flapTracker{window: valueOr(pc.FlapWindow, defaultFlapWindow)}
+	reactFlaps := flapTracker{window: predFlaps.window}
+	k := &kernel{disk: pc.Disk, model: pc.Thermal, initial: pc.Initial, faults: pc.Faults,
+		ambient: valueOr(pc.Ambient, thermal.DefaultAmbient), sampleEvery: pc.SampleEvery,
+		ins: pc.Ins, overAt: pc.OverAt, graceful: true}
+	coolDown := k.load(0)
+	var spinTime time.Duration
+	if pc.Mode == VCMAndRPM {
+		coolDown.RPM = pc.LowRPM
+		spinTime = 2 * valueOr(pc.SpinTransition, 2*time.Second)
 	}
-	tr := pc.Thermal.NewTransient(start0)
-	clock := time.Duration(0)
-
-	if pc.Faults != nil {
-		pc.Faults.Temp = func(time.Duration) units.Celsius { return tr.State().Air }
-		pc.Disk.SetFaults(pc.Faults)
-		defer pc.Disk.SetFaults(nil)
-	}
-
-	advance := func(to time.Duration, load thermal.Load) {
-		if to > clock {
-			tr.Advance(load, to-clock)
-			clock = to
-		}
-	}
-
-	pred := NewPredictor(pc.Window)
-	overAt := pc.OverAt
-	if overAt == 0 {
-		overAt = thermal.Envelope
-	}
-	over := overTracker{limit: overAt}
-	predFlaps := flapTracker{window: pc.flapWindow()}
-	reactFlaps := flapTracker{window: pc.flapWindow()}
 
 	var res PredictiveResult
-	var mean stats.Running
-	p95 := stats.MustP2(0.95)
-	maxT := start0.Air
+	pred := NewPredictor(pc.Window)
 	var predErrSum float64
-	note := func() {
-		t := tr.State().Air
-		if predicted, ok := pred.ExtrapolateTo(clock); ok {
+	k.observe = func(at time.Duration, t units.Celsius) {
+		if predicted, ok := pred.ExtrapolateTo(at); ok {
 			errC := math.Abs(predicted - float64(t))
 			predErrSum += errC
 			res.PredictionSamples++
 			pc.Ins.predictionError(errC)
 		}
-		pred.Observe(clock, t)
-		over.observe(clock, t)
-		pc.Ins.noteTemp(t)
-		if t > maxT {
-			maxT = t
-		}
+		pred.Observe(at, t)
 	}
-
-	var failed error
-	firstArrival := time.Duration(-1)
-	var lastFinish time.Duration
-	done := false
-
-	serve := func(en *sim.Engine, r disksim.Request) bool {
-		start := r.Arrival
-		if rt := pc.Disk.ReadyTime(); rt > start {
-			start = rt
-		}
-		advance(start, idleLoad)
-		note()
-
-		air := tr.State().Air
+	// cool runs one stage's pause and re-arms the predictor: the
+	// regression must not straddle the pause's load discontinuity.
+	cool := func(name string, release func(thermal.State) bool, flaps *flapTracker) time.Duration {
+		flaps.engage(k.clock)
+		pause := k.pause(name, coolDown, coolLimit, release, spinTime)
+		res.ThrottledTime += pause
+		flaps.release(k.clock)
+		pred.Reset()
+		k.note()
+		return pause
+	}
+	err := k.run(eng, src, sink, func() error {
+		air := k.air()
 		if air >= reactEngageAt {
 			// Backstop: the hard watermark stage, for trajectories the
 			// predictor missed (fresh window, sudden load shift).
 			res.ReactiveThrottles++
-			reactFlaps.engage(clock)
-			pause, _ := tr.AdvanceUntil(coolDown, coolLimit, reactCool)
-			if pc.Mode == VCMAndRPM {
-				pause += 2 * pc.spinTransition()
-			}
-			clock += pause
-			res.ThrottledTime += pause
-			pc.Ins.throttle(pause)
-			throttleSpan(en, "dtm.throttle", clock-pause, clock, tr.State().Air)
-			reactFlaps.release(clock)
-			pred.Reset()
-			start = clock
-			pc.Disk.Delay(start)
-			note()
+			pc.Ins.throttle(cool("dtm.throttle", reactCool, &reactFlaps))
 		} else if air >= predEngageAt {
 			if ttl, ok := pred.TimeToLimit(env); ok && ttl <= lead {
 				// Predictive stage: the trajectory crosses the envelope
 				// within the lead time — pause now, while still below it.
 				res.EarlyThrottles++
-				predFlaps.engage(clock)
-				pause, _ := tr.AdvanceUntil(coolDown, coolLimit, predCool)
-				if pc.Mode == VCMAndRPM {
-					pause += 2 * pc.spinTransition()
-				}
-				clock += pause
-				res.ThrottledTime += pause
-				pc.Ins.earlyThrottle(pause)
-				throttleSpan(en, "dtm.predict_throttle", clock-pause, clock, tr.State().Air)
-				predFlaps.release(clock)
-				pred.Reset()
-				start = clock
-				pc.Disk.Delay(start)
-				note()
+				pc.Ins.earlyThrottle(cool("dtm.predict_throttle", predCool, &predFlaps))
 			}
 		}
-
-		comp, err := pc.Disk.Serve(r)
-		if err != nil {
-			if errors.Is(err, disksim.ErrDiskFailed) {
-				res.DiskFailed = true
-				res.FailedAt = pc.Disk.FailedAt()
-				done = true
-				return false
-			}
-			failed = err
-			en.Fail(err)
-			return false
-		}
-		advance(comp.Finish, busyLoad)
-		note()
-		mean.Add(comp.Response())
-		p95.Add(comp.Response())
-		lastFinish = comp.Finish
-		sink.Push(comp)
-		return true
-	}
-
-	if pc.SampleEvery > 0 {
-		eng.Every(pc.SampleEvery, pc.SampleEvery, func(now time.Duration) bool {
-			if done && eng.Pending() == 0 {
-				return false
-			}
-			advance(now, idleLoad)
-			note()
-			return true
-		})
-	}
-	sim.Chain(eng, src, func(r disksim.Request) time.Duration {
-		if firstArrival < 0 {
-			firstArrival = r.Arrival
-		}
-		return r.Arrival
-	}, serve, func() { done = true })
-	if err := eng.Run(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return PredictiveResult{}, err
 	}
-	if failed != nil {
-		return PredictiveResult{}, failed
-	}
-
-	res.MeanResponseMillis = mean.Mean()
-	res.P95ResponseMillis = p95.Value()
-	res.MaxAirTemp = maxT
+	res.MeanResponseMillis, res.P95ResponseMillis, res.MaxAirTemp, res.Elapsed = k.summary()
 	res.Flaps = predFlaps.flaps + reactFlaps.flaps
-	res.TimeOverThreshold = over.over
+	res.TimeOverThreshold = k.over.over
 	if res.PredictionSamples > 0 {
 		res.MeanAbsPredErrC = predErrSum / float64(res.PredictionSamples)
 	}
-	res.Retries = pc.Disk.Retries()
-	res.Remaps = pc.Disk.Remapped()
-	if mean.N() > 0 {
-		res.Elapsed = lastFinish - firstArrival
-	}
+	res.Retries, res.Remaps = pc.Disk.Retries(), pc.Disk.Remapped()
+	res.DiskFailed, res.FailedAt = k.diskFailed, k.failedAt
 	return res, nil
 }
 
@@ -507,17 +359,7 @@ func (pc *PredictiveController) RunStream(eng *sim.Engine, src sim.Source[disksi
 // response percentile computed exactly from the retained completions rather
 // than P²-estimated.
 func (pc *PredictiveController) Run(reqs []disksim.Request) (PredictiveResult, error) {
-	var collect sim.Appender[disksim.Completion]
-	res, err := pc.RunStream(sim.NewEngine(), sim.FromSlice(reqs), &collect)
-	if err != nil {
-		return PredictiveResult{}, err
-	}
-	res.Completions = collect.Items
-	var sample stats.Sample
-	for _, comp := range res.Completions {
-		sample.Add(comp.Response())
-	}
-	res.MeanResponseMillis = sample.Mean()
-	res.P95ResponseMillis = sample.Percentile(95)
-	return res, nil
+	res, b, err := runBatch(pc.RunStream, reqs)
+	res.Completions, res.MeanResponseMillis, res.P95ResponseMillis = b.completions, b.mean, b.p95
+	return res, err
 }

@@ -124,7 +124,7 @@ func runDTM(ctx context.Context, spec Spec, env runEnv) error {
 			return err
 		}
 		ctl := dtm.Controller{Disk: disk, Thermal: th, Mode: dtm.VCMOnly}
-		res, err := ctl.RunStreamCtx(ctx, eng, src, sink)
+		res, err := dtm.RunStreamCtx(ctx, ctl.RunStream, eng, src, sink)
 		if err != nil {
 			return err
 		}
@@ -140,7 +140,7 @@ func runDTM(ctx context.Context, spec Spec, env runEnv) error {
 			return err
 		}
 		ramp := dtm.SlackRamp{Disk: disk, Thermal: th, BoostRPM: 24534}
-		res, err := ramp.RunStreamCtx(ctx, eng, src, sink)
+		res, err := dtm.RunStreamCtx(ctx, ramp.RunStream, eng, src, sink)
 		if err != nil {
 			return err
 		}
@@ -155,7 +155,7 @@ func runDTM(ctx context.Context, spec Spec, env runEnv) error {
 			return err
 		}
 		pol := dtm.DRPM{Disk: disk, Thermal: th, Levels: []units.RPM{15020, 18000, 21000, 24534}}
-		res, err := pol.RunStreamCtx(ctx, eng, src, sink)
+		res, err := dtm.RunStreamCtx(ctx, pol.RunStream, eng, src, sink)
 		if err != nil {
 			return err
 		}
@@ -176,7 +176,7 @@ func runDTM(ctx context.Context, spec Spec, env runEnv) error {
 			Levels:  []units.RPM{24534, 21000, 18000, 15020},
 			Initial: &hot,
 		}
-		res, err := esc.RunStreamCtx(ctx, eng, src, sink)
+		res, err := dtm.RunStreamCtx(ctx, esc.RunStream, eng, src, sink)
 		if err != nil {
 			return err
 		}

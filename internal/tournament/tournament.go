@@ -408,7 +408,7 @@ func runCell(ctx context.Context, cfg Config, s cellSpec, ins *dtm.Instruments) 
 			Faults:  inj,
 			Ins:     ins,
 		}
-		res, err := esc.RunStreamCtx(ctx, sim.NewEngine(), src, sink)
+		res, err := dtm.RunStreamCtx(ctx, esc.RunStream, sim.NewEngine(), src, sink)
 		if err != nil {
 			return Cell{}, err
 		}
@@ -452,7 +452,7 @@ func runCell(ctx context.Context, cfg Config, s cellSpec, ins *dtm.Instruments) 
 			Faults:     inj,
 			Ins:        ins,
 		}
-		res, err := ctl.RunStreamCtx(ctx, sim.NewEngine(), src, sink)
+		res, err := dtm.RunStreamCtx(ctx, ctl.RunStream, sim.NewEngine(), src, sink)
 		if err != nil {
 			return Cell{}, err
 		}
@@ -482,7 +482,7 @@ func runCell(ctx context.Context, cfg Config, s cellSpec, ins *dtm.Instruments) 
 			Faults:   inj,
 			Ins:      ins,
 		}
-		res, err := ramp.RunStreamCtx(ctx, sim.NewEngine(), src, sink)
+		res, err := dtm.RunStreamCtx(ctx, ramp.RunStream, sim.NewEngine(), src, sink)
 		if err != nil {
 			return Cell{}, err
 		}
