@@ -6,6 +6,7 @@ package repro
 // `go test -run '^$' -bench '^BenchmarkParallel' -benchtime 1x`.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -31,10 +32,14 @@ func workerCounts() []int {
 // BenchmarkParallelFigure4 times the full Figure 4 grid — every workload,
 // every RPM step — at each worker count.
 func BenchmarkParallelFigure4(b *testing.B) {
+	workloads := make([]trace.Params, len(trace.Workloads))
+	for i, w := range trace.Workloads {
+		workloads[i] = w.WithRequests(20000)
+	}
 	for _, w := range workerCounts() {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunAllFigure4Workers(20000, w)
+				res, err := core.Figure4(context.Background(), workloads, core.Figure4Config{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}

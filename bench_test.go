@@ -7,6 +7,7 @@ package repro
 // cmd/tracesim replays the full request counts.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -157,11 +158,11 @@ func benchFigure4(b *testing.B, name string, requests int) {
 	var gain float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunFigure4(w)
+		res, err := core.Figure4(context.Background(), []trace.Params{w}, core.Figure4Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		gain = res.Improvements()[0]
+		gain = res[0].Improvements()[0]
 	}
 	b.ReportMetric(gain*100, "+5kRPM-gain-%")
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -34,7 +35,7 @@ func main() {
 		failAt     = flag.Duration("failat", 5*time.Second, "when the injected member failure strikes")
 		rebuildMB  = flag.Float64("rebuildmb", raid.DefaultRebuildMBPerSec, "rebuild rate onto the spare, MB/s")
 		noSpare    = flag.Bool("nospare", false, "run the failure without a hot spare (no rebuild)")
-		exact      = flag.Bool("exact", false, "collect whole traces for exact percentiles (O(trace) memory) instead of streaming")
+		exact      = flag.Bool("exact", false, "keep every response time for an exact p95 (O(trace) memory) instead of the P² estimate")
 		workers    = flag.Int("workers", 0, "RPM-sweep worker count (0 = all cores, 1 = sequential)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
@@ -144,23 +145,16 @@ func run(name string, requests int, save string, analyze bool, config string, ex
 			}
 			continue
 		}
-		// The streaming path replays each speed straight from the seeded
-		// generator in O(1) memory (P² 95th percentile); -exact collects
-		// the trace for exact order statistics. -metrics-out/-trace-out
-		// ride the streaming path, where the per-step hooks are live.
-		var res core.WorkloadResult
-		var err error
-		steps := core.Figure4Steps(w.BaselineRPM)
-		if exact {
-			res, err = core.RunFigure4Steps(w, steps, workers)
-		} else {
-			res, err = core.RunFigure4StepsStreamObs(w, steps, workers, ob)
-		}
+		// Each speed replays straight from the seeded generator in O(1)
+		// memory with a P² 95th percentile; -exact keeps the response
+		// times for the exact order statistic. The sinks ride both.
+		res, err := core.Figure4(context.Background(), []trace.Params{w},
+			core.Figure4Config{Workers: workers, Obs: ob, ExactP95: exact})
 		if err != nil {
 			return err
 		}
-		fmt.Print(core.FormatResult(res))
-		imp := res.Improvements()
+		fmt.Print(core.FormatResult(res[0]))
+		imp := res[0].Improvements()
 		fmt.Printf("  mean response improvement vs baseline: +%.1f%% +%.1f%% +%.1f%%\n\n",
 			imp[0]*100, imp[1]*100, imp[2]*100)
 	}

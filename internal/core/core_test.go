@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -33,12 +34,22 @@ func TestRoadmapDrive(t *testing.T) {
 	}
 }
 
-func TestRunFigure4SmallRun(t *testing.T) {
-	w := trace.Workloads[1].WithRequests(4000) // OLTP, 24 lightly-loaded disks
-	res, err := RunFigure4(w)
+// figure4One runs a one-workload sweep and returns its panel.
+func figure4One(t *testing.T, w trace.Params, cfg Figure4Config) WorkloadResult {
+	t.Helper()
+	res, err := Figure4(context.Background(), []trace.Params{w}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res) != 1 {
+		t.Fatalf("%d panels for one workload", len(res))
+	}
+	return res[0]
+}
+
+func TestRunFigure4SmallRun(t *testing.T) {
+	w := trace.Workloads[1].WithRequests(4000) // OLTP, 24 lightly-loaded disks
+	res := figure4One(t, w, Figure4Config{})
 	if len(res.Steps) != 4 {
 		t.Fatalf("%d steps", len(res.Steps))
 	}
@@ -72,10 +83,7 @@ func TestRunFigure4SmallRun(t *testing.T) {
 
 func TestRunFigure4StepsCustom(t *testing.T) {
 	w := trace.Workloads[4].WithRequests(2000) // TPC-H
-	res, err := RunFigure4Steps(w, []units.RPM{7200, 22200}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := figure4One(t, w, Figure4Config{Steps: []units.RPM{7200, 22200}, Workers: 1})
 	if len(res.Steps) != 2 {
 		t.Fatalf("%d steps", len(res.Steps))
 	}
@@ -86,10 +94,7 @@ func TestRunFigure4StepsCustom(t *testing.T) {
 
 func TestFormatResult(t *testing.T) {
 	w := trace.Workloads[4].WithRequests(500)
-	res, err := RunFigure4Steps(w, []units.RPM{7200}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := figure4One(t, w, Figure4Config{Steps: []units.RPM{7200}, Workers: 1})
 	out := FormatResult(res)
 	if !strings.Contains(out, "TPC-H") || !strings.Contains(out, "mean=") {
 		t.Errorf("bad format:\n%s", out)
@@ -100,7 +105,11 @@ func TestRunAllFigure4Tiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all five workloads")
 	}
-	results, err := RunAllFigure4(1500)
+	workloads := make([]trace.Params, len(trace.Workloads))
+	for i, w := range trace.Workloads {
+		workloads[i] = w.WithRequests(1500)
+	}
+	results, err := Figure4(context.Background(), workloads, Figure4Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +124,6 @@ func TestRunAllFigure4Tiny(t *testing.T) {
 		if imp[0] <= 0.05 {
 			t.Errorf("%s: +5k RPM improvement only %.1f%%", r.Workload.Name, imp[0]*100)
 		}
-	}
-}
-
-func TestSimDuration(t *testing.T) {
-	if SimDuration(1000, 100).Seconds() != 10 {
-		t.Error("wrong duration")
-	}
-	if SimDuration(1000, 0) != 0 {
-		t.Error("zero rate should yield zero")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/reliability"
 	"repro/internal/scaling"
 	"repro/internal/thermal"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -43,10 +45,8 @@ type Options struct {
 	// worker count.
 	Workers int
 
-	// Obs carries optional observability sinks. When enabled, Figure 4
-	// runs on the streaming path (whose means match the batch path bit
-	// for bit) so the per-step instrumentation hooks are live; the
-	// rendered report is unchanged.
+	// Obs carries optional observability sinks for the Figure 4 sweep;
+	// the rendered report is the same with or without them.
 	Obs Observe
 }
 
@@ -240,15 +240,14 @@ func expFigure4(w io.Writer, requests, workers int, ob Observe) error {
 		"TPC-C":            {6.50, 3.23, 2.46, 2.06},
 		"TPC-H":            {4.91, 3.25, 2.64, 2.32},
 	}
-	var results []WorkloadResult
-	var err error
-	if ob.enabled() {
-		// Streaming path so the per-step instrumentation is live; the
-		// means the report prints are bit-identical to the batch path.
-		results, err = RunAllFigure4StreamObs(requests, workers, ob)
-	} else {
-		results, err = RunAllFigure4Workers(requests, workers)
+	workloads := make([]trace.Params, len(trace.Workloads))
+	for i, wl := range trace.Workloads {
+		if requests > 0 {
+			wl = wl.WithRequests(requests)
+		}
+		workloads[i] = wl
 	}
+	results, err := Figure4(context.Background(), workloads, Figure4Config{Workers: workers, Obs: ob})
 	if err != nil {
 		return err
 	}

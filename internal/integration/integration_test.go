@@ -7,6 +7,7 @@ package integration
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -63,11 +64,12 @@ func TestModelChainRoadmapDrive(t *testing.T) {
 func TestSimulationChainDeterminism(t *testing.T) {
 	w := trace.Workloads[3].WithRequests(5000) // TPC-C: RAID-5 + write-back
 	run := func() core.WorkloadResult {
-		res, err := core.RunFigure4Steps(w, []units.RPM{10000}, 1)
+		res, err := core.Figure4(context.Background(), []trace.Params{w},
+			core.Figure4Config{Steps: []units.RPM{10000}, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res[0]
 	}
 	a, b := run(), run()
 	if a.Steps[0].MeanMillis != b.Steps[0].MeanMillis {

@@ -6,6 +6,7 @@
 package integration
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,8 +22,10 @@ func renderObs(t *testing.T, workers int) (metrics, spans string) {
 	w := trace.Workloads[3].WithRequests(1500) // TPC-C: smallest array
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(0)
-	_, err := core.RunFigure4StepsStreamObs(w, core.Figure4Steps(w.BaselineRPM), workers,
-		core.Observe{Registry: reg, Tracer: tr})
+	_, err := core.Figure4(context.Background(), []trace.Params{w}, core.Figure4Config{
+		Workers: workers,
+		Obs:     core.Observe{Registry: reg, Tracer: tr},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +62,14 @@ func TestObsSnapshotBytesIdenticalAcrossWorkers(t *testing.T) {
 func TestObsMetricsMatchResults(t *testing.T) {
 	w := trace.Workloads[3].WithRequests(1500)
 	reg := obs.NewRegistry()
-	res, err := core.RunFigure4StepsStreamObs(w, core.Figure4Steps(w.BaselineRPM), 2,
-		core.Observe{Registry: reg})
+	out, err := core.Figure4(context.Background(), []trace.Params{w}, core.Figure4Config{
+		Workers: 2,
+		Obs:     core.Observe{Registry: reg},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out[0]
 	byID := make(map[string]obs.Metric)
 	for _, m := range reg.Snapshot() {
 		byID[m.ID()] = m

@@ -9,6 +9,8 @@ package integration
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -19,44 +21,31 @@ import (
 	"repro/internal/trace"
 )
 
-// TestFigure4ParallelMatchesSequential sweeps every seeded workload through
-// the batch runner at 1 and 4 workers and requires identical results — the
-// same means, the same CDF buckets, the same cache-hit fractions.
+// TestFigure4ParallelMatchesSequential sweeps every seeded workload at 1
+// and 4 workers, with the P² and the exact 95th percentile, and requires
+// identical results — the same means, the same CDF buckets, the same p95,
+// the same cache-hit fractions.
 func TestFigure4ParallelMatchesSequential(t *testing.T) {
 	for _, w := range trace.Workloads {
 		w := w.WithRequests(3000)
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			seq, err := core.RunFigure4Workers(w, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := core.RunFigure4Workers(w, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("parallel result differs:\nseq %+v\npar %+v", seq, par)
+			for _, exact := range []bool{false, true} {
+				t.Run(fmt.Sprintf("exact=%v", exact), func(t *testing.T) {
+					run := func(workers int) []core.WorkloadResult {
+						res, err := core.Figure4(context.Background(), []trace.Params{w},
+							core.Figure4Config{Workers: workers, ExactP95: exact})
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res
+					}
+					if seq, par := run(1), run(4); !reflect.DeepEqual(seq, par) {
+						t.Errorf("parallel result differs:\nseq %+v\npar %+v", seq, par)
+					}
+				})
 			}
 		})
-	}
-}
-
-// TestFigure4StreamParallelMatchesSequential pins the same contract on the
-// streaming path (own engine and lazy trace per step).
-func TestFigure4StreamParallelMatchesSequential(t *testing.T) {
-	w := trace.Workloads[0].WithRequests(3000)
-	steps := core.Figure4Steps(w.BaselineRPM)
-	seq, err := core.RunFigure4StepsStream(w, steps, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := core.RunFigure4StepsStream(w, steps, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("parallel stream result differs:\nseq %+v\npar %+v", seq, par)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -45,18 +46,15 @@ func runFigure4(ctx context.Context, spec Spec, env runEnv) error {
 	if n == 0 {
 		n = defaultFigure4Requests
 	}
+	var steps []units.RPM // empty: each workload's paper sweep
+	for _, rpm := range f.RPMSteps {
+		steps = append(steps, units.RPM(rpm))
+	}
 	// Workloads run sequentially — results interleaved across workloads
 	// would force clients to demultiplex; spec.workers() fans out the RPM
 	// steps inside each workload instead.
 	for _, w := range workloads {
 		w = w.WithRequests(n)
-		steps := core.Figure4Steps(w.BaselineRPM)
-		if len(f.RPMSteps) > 0 {
-			steps = steps[:0]
-			for _, rpm := range f.RPMSteps {
-				steps = append(steps, units.RPM(rpm))
-			}
-		}
 		var emitErr error
 		var stepsDone int64
 		onStep := sim.SinkFunc[core.RPMStep](func(s core.RPMStep) {
@@ -76,7 +74,8 @@ func runFigure4(ctx context.Context, spec Spec, env runEnv) error {
 			stepsDone++
 			env.checkpoint(stepsDone)
 		})
-		res, err := core.RunFigure4StepsStreamCtx(ctx, w, steps, spec.workers(), core.Observe{}, onStep)
+		res, err := core.Figure4(ctx, []trace.Params{w},
+			core.Figure4Config{Steps: steps, Workers: spec.workers(), OnStep: onStep})
 		if err != nil {
 			return err
 		}
@@ -87,8 +86,8 @@ func runFigure4(ctx context.Context, spec Spec, env runEnv) error {
 			Kind:         "workload",
 			Workload:     w.Name,
 			BaselineRPM:  float64(w.BaselineRPM),
-			Steps:        len(res.Steps),
-			Improvements: res.Improvements(),
+			Steps:        len(res[0].Steps),
+			Improvements: res[0].Improvements(),
 		}
 		if err := env.emit(sum); err != nil {
 			return err
