@@ -228,6 +228,14 @@ func New(cfg Config) (*Layout, error) {
 		cfg:      cfg,
 		Surfaces: 2 * cfg.Geometry.Platters,
 	}
+	// Byte and sector counts are int64 everywhere downstream. The raw
+	// capacity bounds the derated one and its sector count, so refusing a
+	// raw capacity past int64 (and a single track's bits past it, the
+	// first int64 the zone loop derives) keeps every count from wrapping.
+	if raw := l.rawBits() / 8; raw >= math.MaxInt64 {
+		return nil, fmt.Errorf("capacity: BPI=%v TPI=%v on %d surfaces gives %.3g raw bytes, past int64",
+			cfg.BPI, cfg.TPI, l.Surfaces, raw)
+	}
 	tracksPerZone := ncylin / nz
 	l.Cylinders = tracksPerZone * nz // equal zones; remainder is reserve
 	l.ReserveTracks = ncylin - l.Cylinders
@@ -245,7 +253,11 @@ func New(cfg Config) (*Layout, error) {
 	for z := 0; z < nz; z++ {
 		first := z * tracksPerZone
 		last := (z+1)*tracksPerZone - 1
-		minBits := int64(l.TrackPerimeter(last) * float64(cfg.BPI))
+		bits := l.TrackPerimeter(last) * float64(cfg.BPI)
+		if bits >= math.MaxInt64 {
+			return nil, fmt.Errorf("capacity: BPI=%v gives %.3g bits per track, past int64", cfg.BPI, bits)
+		}
+		minBits := int64(bits)
 		spt := int(float64(minBits) * usable / overhead)
 		l.Zones[z] = Zone{
 			Index:           z,
@@ -282,13 +294,15 @@ func (l *Layout) TrackRadius(j int) float64 {
 
 // RawCapacity returns C_max: the undeveloped areal capacity of the stroke-
 // efficient band, before ZBR/servo/ECC derating.
-func (l *Layout) RawCapacity() units.Bytes {
+func (l *Layout) RawCapacity() units.Bytes { return units.Bytes(l.rawBits() / 8) }
+
+// rawBits is RawCapacity in bits, before the int64 conversion.
+func (l *Layout) rawBits() float64 {
 	ro := float64(l.cfg.Geometry.OuterRadius())
 	ri := float64(l.cfg.Geometry.InnerRadius())
-	bits := l.cfg.strokeEfficiency() * float64(l.Surfaces) *
+	return l.cfg.strokeEfficiency() * float64(l.Surfaces) *
 		math.Pi * (ro*ro - ri*ri) *
 		units.ArealDensity(l.cfg.BPI, l.cfg.TPI)
-	return units.Bytes(bits / 8)
 }
 
 // ZBRCapacity returns the capacity after zoning alone (every track in a zone

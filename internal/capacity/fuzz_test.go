@@ -18,6 +18,11 @@ func FuzzLayout(f *testing.F) {
 	f.Add(270000.0, 20000.0, uint8(1), uint8(50), int64(123456789))
 	f.Add(1.0, 1.0, uint8(0), uint8(0), int64(-1))
 	f.Add(1.9e6, 540000.0, uint8(1), uint8(50), int64(987654321987))
+	// Densities whose capacity overflows int64: raw bytes wrap to MinInt64
+	// at 4 platters, the derated capacity goes negative at 7. New must
+	// refuse both.
+	f.Add(5.1e7, 2.3e11, uint8(4), uint8(0), int64(0))
+	f.Add(5.1e7, 2.3e11, uint8(7), uint8(0), int64(0))
 	f.Fuzz(func(t *testing.T, bpi, tpi float64, platters, zones uint8, lbn int64) {
 		cfg := Config{
 			Geometry: geometry.Drive{

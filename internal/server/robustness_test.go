@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -430,5 +432,40 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	w2, info2 := submitAsync(t, s2, body, "crash-key")
 	if w2.Code != http.StatusOK || info2.ID != info.ID {
 		t.Fatalf("post-crash dedup: %d job %s, want 200 %s", w2.Code, info2.ID, info.ID)
+	}
+}
+
+// TestRoadmapCapacityOverflowFinishesClean drives a roadmap spec that
+// validation accepts but whose late-century densities overflow int64
+// capacities. The job must reach a final state and its body must hold no
+// negative or non-finite number (it once streamed a negative capacity_gb).
+func TestRoadmapCapacityOverflowFinishesClean(t *testing.T) {
+	s := mustNew(t, testConfig())
+	defer s.Shutdown(context.Background())
+	w, info := submitAsync(t, s,
+		`{"type":"roadmap","roadmap":{"first_year":2090,"last_year":2100,"platters":4}}`, "")
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", w.Code, w.Body.String())
+	}
+	if st := waitStatus(t, s, info.ID); !st.terminal() {
+		t.Fatalf("status %q is not final", st)
+	}
+	body := getResult(t, s, info.ID)
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
+	for dec.More() {
+		var line map[string]any
+		if err := dec.Decode(&line); err != nil {
+			t.Fatalf("undecodable line: %v\n%s", err, body)
+		}
+		for k, v := range line {
+			n, ok := v.(json.Number)
+			if !ok {
+				continue
+			}
+			if f, err := n.Float64(); err != nil || f < 0 || math.IsInf(f, 0) || math.IsNaN(f) {
+				t.Errorf("field %s = %s: negative or non-finite", k, n)
+			}
+		}
 	}
 }
