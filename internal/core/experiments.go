@@ -247,7 +247,7 @@ func expFigure4(w io.Writer, requests, workers int, ob Observe) error {
 		}
 		workloads[i] = wl
 	}
-	results, err := Figure4(context.Background(), workloads, Figure4Config{Workers: workers, Obs: ob})
+	results, err := Figure4(context.TODO(), workloads, Figure4Config{Workers: workers, Obs: ob})
 	if err != nil {
 		return err
 	}

@@ -150,7 +150,9 @@ func Figure4(ctx context.Context, workloads []trace.Params, cfg Figure4Config) (
 		em.ready = append(em.ready, make([]*RPMStep, len(cfg.stepsFor(w)))...)
 	}
 	// A single panel records straight into the caller's tracer and skips
-	// the workload-level pool, so it runs exactly one fan-out.
+	// the workload-level pool: one fan-out, as a one-workload sweep has
+	// always run, which the sweep engine's run and item counters in the
+	// TPC-C metrics golden record.
 	if len(workloads) == 1 {
 		res, err := cfg.sweep(ctx, workloads[0], cfg.Obs.Tracer, &em, 0)
 		if err != nil {
@@ -176,13 +178,10 @@ func Figure4(ctx context.Context, workloads []trace.Params, cfg Figure4Config) (
 // sub-tracers that merge into parent in step order after the fan-in.
 // Step i is cell base+i of the emitter.
 func (c Figure4Config) sweep(ctx context.Context, w trace.Params, parent *obs.Tracer, em *emitter, base int) (WorkloadResult, error) {
-	res := WorkloadResult{Workload: w}
 	steps := c.stepsFor(w)
 	tracers := make([]*obs.Tracer, len(steps))
 	out, err := parallel.MapCtx(ctx, c.Workers, steps, func(i int, rpm units.RPM) (RPMStep, error) {
-		if parent != nil {
-			tracers[i] = c.Obs.subTracer()
-		}
+		tracers[i] = c.Obs.subTracer()
 		step, err := c.figure4Step(ctx, w, rpm, tracers[i])
 		if err != nil {
 			return RPMStep{}, err
@@ -191,13 +190,12 @@ func (c Figure4Config) sweep(ctx context.Context, w trace.Params, parent *obs.Tr
 		return step, nil
 	})
 	if err != nil {
-		return res, err
+		return WorkloadResult{}, err
 	}
 	for _, t := range tracers {
 		parent.Merge(t)
 	}
-	res.Steps = out
-	return res, nil
+	return WorkloadResult{Workload: w, Steps: out}, nil
 }
 
 // emitter delivers completed cells to a sink in grid order: a finished
