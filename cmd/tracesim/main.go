@@ -147,7 +147,8 @@ func run(name string, requests int, save string, analyze bool, config string, ex
 		}
 		// Each speed replays straight from the seeded generator in O(1)
 		// memory with a P² 95th percentile; -exact keeps the response
-		// times for the exact order statistic. The sinks ride both.
+		// times for the exact order statistic. -metrics-out and -trace-out
+		// record either way.
 		res, err := core.Figure4(context.Background(), []trace.Params{w},
 			core.Figure4Config{Workers: workers, Obs: ob, ExactP95: exact})
 		if err != nil {
