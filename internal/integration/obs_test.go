@@ -15,14 +15,13 @@ import (
 	"repro/internal/trace"
 )
 
-// renderObs runs one workload's streaming RPM sweep with both sinks
-// attached and renders the deterministic snapshot and span stream.
-func renderObs(t *testing.T, workers int) (metrics, spans string) {
+// renderObs runs the workloads' RPM sweeps with both sinks attached and
+// renders the deterministic snapshot and span stream.
+func renderObs(t *testing.T, workloads []trace.Params, workers int) (metrics, spans string) {
 	t.Helper()
-	w := trace.Workloads[3].WithRequests(1500) // TPC-C: smallest array
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(0)
-	_, err := core.Figure4(context.Background(), []trace.Params{w}, core.Figure4Config{
+	_, err := core.Figure4(context.Background(), workloads, core.Figure4Config{
 		Workers: workers,
 		Obs:     core.Observe{Registry: reg, Tracer: tr},
 	})
@@ -41,18 +40,23 @@ func renderObs(t *testing.T, workers int) (metrics, spans string) {
 
 // TestObsSnapshotBytesIdenticalAcrossWorkers is the acceptance contract:
 // the NDJSON snapshot and the span stream from a -workers 1 run and a
-// -workers 4 run must match byte for byte.
+// -workers 4 run must match byte for byte, for one workload and for two
+// (whose per-workload sub-tracers nest the per-step ones).
 func TestObsSnapshotBytesIdenticalAcrossWorkers(t *testing.T) {
-	m1, s1 := renderObs(t, 1)
-	m4, s4 := renderObs(t, 4)
-	if m1 != m4 {
-		t.Errorf("metric snapshots differ between worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", m1, m4)
-	}
-	if s1 != s4 {
-		t.Errorf("span streams differ between worker counts (%d vs %d bytes)", len(s1), len(s4))
-	}
-	if m1 == "" || s1 == "" {
-		t.Fatal("observed run produced no output")
+	tpcc := trace.Workloads[3].WithRequests(1500) // TPC-C: smallest array
+	tpch := trace.Workloads[4].WithRequests(1500)
+	for _, workloads := range [][]trace.Params{{tpcc}, {tpcc, tpch}} {
+		m1, s1 := renderObs(t, workloads, 1)
+		m4, s4 := renderObs(t, workloads, 4)
+		if m1 != m4 {
+			t.Errorf("%d workloads: metric snapshots differ between worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", len(workloads), m1, m4)
+		}
+		if s1 != s4 {
+			t.Errorf("%d workloads: span streams differ between worker counts (%d vs %d bytes)", len(workloads), len(s1), len(s4))
+		}
+		if m1 == "" || s1 == "" {
+			t.Fatalf("%d workloads: observed run produced no output", len(workloads))
+		}
 	}
 }
 
