@@ -1,7 +1,8 @@
 package repro
 
 // The parallel sweep engine's benchmark harness: the same grids the paper
-// regenerates, at 1/2/4/GOMAXPROCS workers, plus the thermal solve cache
+// regenerates, at 1/2/4/GOMAXPROCS workers (the design walk, which has no
+// fan-out, sequentially), plus the thermal solve cache
 // against the uncached direct path. Results feed BENCH_parallel.json:
 // `go test -run '^$' -bench '^BenchmarkParallel' -benchtime 1x`.
 
@@ -68,16 +69,14 @@ func BenchmarkParallelRoadmap(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelDesignWalk times the section 4 walk at each worker count.
+// BenchmarkParallelDesignWalk times the section 4 walk. It has no worker
+// fan-out: each year starts from the previous design, and the candidate
+// scans inside one year are too small to amortise a hand-off.
 func BenchmarkParallelDesignWalk(b *testing.B) {
-	for _, w := range workerCounts() {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := scaling.DesignWalk(scaling.WalkConfig{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := scaling.DesignWalk(scaling.WalkConfig{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -17,7 +18,6 @@ import (
 	"repro/internal/reliability"
 	"repro/internal/scaling"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/thermal"
 	"repro/internal/units"
 )
@@ -52,6 +52,9 @@ func main() {
 }
 
 func run(slack, throttle, policy, emergency, faults bool, faultseed int64, failscale float64, requests int, oc *obs.CLI) error {
+	if (policy || emergency) && requests < 1 {
+		return fmt.Errorf("-requests %d: want at least 1", requests) // 0 would mean the scenario's default
+	}
 	if slack {
 		if err := runSlack(); err != nil {
 			return err
@@ -75,13 +78,15 @@ func run(slack, throttle, policy, emergency, faults bool, faultseed int64, fails
 	return nil
 }
 
-// engine returns a fresh event engine with the -trace-out tracer attached
-// (nil tracer = the free path). The policy runs are sequential, so sharing
-// one tracer across engines still records spans in a deterministic order.
-func engine(oc *obs.CLI) *sim.Engine {
+// runScenario runs one policy of the reference DTM scenario with the
+// -metrics-out registry and a -trace-out tracer attached (nil tracer = the
+// free path). The runs are sequential, so sharing one tracer across their
+// engines still records spans in a deterministic order.
+func runScenario(r dtm.PolicyRun, oc *obs.CLI) (dtm.PolicySummary, error) {
+	r.Registry = oc.Registry
 	e := sim.NewEngine()
 	e.SetTracer(oc.Tracer)
-	return e
+	return r.Run(context.Background(), e, nil)
 }
 
 func runSlack() error {
@@ -140,107 +145,54 @@ func runThrottle() error {
 }
 
 func runPolicy(requests int, oc *obs.CLI) error {
+	fmt.Printf("Closed-loop DTM policy comparison (2005 drive, %d random requests at 120/s)\n", requests)
+
+	// Envelope design: 15,020 RPM, no DTM needed.
+	env, err := runScenario(dtm.PolicyRun{Policy: "envelope", Requests: requests}, oc)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("  envelope design @15,020 RPM: mean %.2f ms\n", env.MeanMS)
+
+	// Average-case design at the 2005 target speed with watermark throttling.
+	res, err := runScenario(dtm.PolicyRun{Policy: "watermark", Requests: requests}, oc)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("  average-case @24,534 RPM + throttling: mean %.2f ms, max air %.2f C, "+
+		"%d throttle events (%.1fs paused)\n",
+		res.MeanMS, res.MaxAirTempC, res.ThrottleEvents, res.ThrottledSimMS/1000)
+
+	// Two-speed slack ramping from the envelope-design base.
+	rres, err := runScenario(dtm.PolicyRun{Policy: "slack-ramp", Requests: requests}, oc)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("  two-speed slack ramp 15,020<->24,534: mean %.2f ms, max air %.2f C, "+
+		"%d transitions (%.1fs boosted)\n",
+		rres.MeanMS, rres.MaxAirTempC, rres.Transitions, rres.BoostedSimMS/1000)
+
+	// DRPM-style multi-level control.
+	dres, err := runScenario(dtm.PolicyRun{Policy: "drpm", Requests: requests}, oc)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("  DRPM 4 levels 15,020..24,534: mean %.2f ms, max air %.2f C, %d transitions\n",
+		dres.MeanMS, dres.MaxAirTempC, dres.Transitions)
+
+	// Mirrored pair with thermally-steered reads (section 5.4). The mirror
+	// policy steers between two members and keeps its batch API, so it
+	// builds its own pair of reference drives and collects the workload.
 	geom := thermal.ReferenceDrive
 	bpi, tpi := scaling.DefaultTrend().Densities(2005)
 	layout, err := capacity.New(capacity.Config{Geometry: geom, BPI: bpi, TPI: tpi, Zones: 50})
 	if err != nil {
 		return err
 	}
-	th, err := thermal.New(geom)
-	if err != nil {
-		return err
-	}
-	// Each controller streams the same seeded workload from a fresh source:
-	// nothing is materialized, and the 95th percentiles are P² estimates.
-	src := func() sim.Source[disksim.Request] {
-		return policySource(layout.TotalSectors(), requests, 120)
-	}
-
-	fmt.Printf("Closed-loop DTM policy comparison (2005 drive, %d random requests at 120/s)\n", requests)
-
-	// Envelope design: 15,020 RPM, no DTM needed.
-	slow, err := disksim.New(disksim.Config{Layout: layout, RPM: 15020})
-	if err != nil {
-		return err
-	}
-	slow.SetInstruments(disksim.NewInstruments(oc.Registry, len(layout.Zones), "policy", "envelope"))
-	var envMean stats.Running
-	err = slow.RunStream(engine(oc), src(),
-		sim.SinkFunc[disksim.Completion](func(c disksim.Completion) { envMean.Add(c.Response()) }))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  envelope design @15,020 RPM: mean %.2f ms\n", envMean.Mean())
-
-	// Average-case design at the 2005 target speed with watermark throttling.
-	fast, err := disksim.New(disksim.Config{Layout: layout, RPM: 24534})
-	if err != nil {
-		return err
-	}
-	fast.SetInstruments(disksim.NewInstruments(oc.Registry, len(layout.Zones), "policy", "watermark"))
-	ctl := dtm.Controller{Disk: fast, Thermal: th, Mode: dtm.VCMOnly,
-		Ins: dtm.NewInstruments(oc.Registry, "watermark")}
-	res, err := ctl.RunStream(engine(oc), src(), sim.Discard[disksim.Completion]())
-	if err != nil {
-		return err
-	}
-	th.ExportCache(oc.Registry, "policy", "watermark")
-	fmt.Printf("  average-case @24,534 RPM + throttling: mean %.2f ms, max air %.2f C, "+
-		"%d throttle events (%.1fs paused)\n",
-		res.MeanResponseMillis, float64(res.MaxAirTemp),
-		res.ThrottleEvents, res.ThrottledTime.Seconds())
-
-	// Two-speed slack ramping from the envelope-design base.
-	base, err := disksim.New(disksim.Config{Layout: layout, RPM: 15020})
-	if err != nil {
-		return err
-	}
-	th2, err := thermal.New(geom)
-	if err != nil {
-		return err
-	}
-	base.SetInstruments(disksim.NewInstruments(oc.Registry, len(layout.Zones), "policy", "slack-ramp"))
-	ramp := dtm.SlackRamp{Disk: base, Thermal: th2, BoostRPM: 24534,
-		Ins: dtm.NewInstruments(oc.Registry, "slack-ramp")}
-	rres, err := ramp.RunStream(engine(oc), src(), sim.Discard[disksim.Completion]())
-	if err != nil {
-		return err
-	}
-	th2.ExportCache(oc.Registry, "policy", "slack-ramp")
-	fmt.Printf("  two-speed slack ramp 15,020<->24,534: mean %.2f ms, max air %.2f C, "+
-		"%d transitions (%.1fs boosted)\n",
-		rres.MeanResponseMillis, float64(rres.MaxAirTemp),
-		rres.Transitions, rres.BoostedTime.Seconds())
-
-	// DRPM-style multi-level control.
-	multi, err := disksim.New(disksim.Config{Layout: layout, RPM: 24534})
-	if err != nil {
-		return err
-	}
-	th3, err := thermal.New(geom)
-	if err != nil {
-		return err
-	}
-	multi.SetInstruments(disksim.NewInstruments(oc.Registry, len(layout.Zones), "policy", "drpm"))
-	drpm := dtm.DRPM{
-		Disk:    multi,
-		Thermal: th3,
-		Levels:  []units.RPM{15020, 18000, 21000, 24534},
-		Ins:     dtm.NewInstruments(oc.Registry, "drpm"),
-	}
-	dres, err := drpm.RunStream(engine(oc), src(), sim.Discard[disksim.Completion]())
-	if err != nil {
-		return err
-	}
-	th3.ExportCache(oc.Registry, "policy", "drpm")
-	fmt.Printf("  DRPM 4 levels 15,020..24,534: mean %.2f ms, max air %.2f C, %d transitions\n",
-		dres.MeanResponseMillis, float64(dres.MaxAirTemp), dres.Transitions)
-
-	// Mirrored pair with thermally-steered reads (section 5.4).
 	var mdisks [2]*disksim.Disk
 	var mtherm [2]*thermal.Model
 	for i := range mdisks {
-		d, err := disksim.New(disksim.Config{Layout: layout, RPM: 24534})
+		d, err := disksim.New(disksim.Config{Layout: layout, RPM: dtm.AverageCaseRPM})
 		if err != nil {
 			return err
 		}
@@ -250,10 +202,8 @@ func runPolicy(requests int, oc *obs.CLI) error {
 		}
 		mdisks[i], mtherm[i] = d, th
 	}
-	// The mirror policy steers between members and keeps its batch API; it
-	// is the one consumer here that still collects the workload.
 	mirror := dtm.MirrorPolicy{Disks: mdisks, Thermal: mtherm}
-	mres, err := mirror.Run(sim.Collect(src()))
+	mres, err := mirror.Run(sim.Collect(dtm.SyntheticSource(layout.TotalSectors(), requests, 120, 11)))
 	if err != nil {
 		return err
 	}
@@ -268,48 +218,21 @@ func runPolicy(requests int, oc *obs.CLI) error {
 // off-track retries, sector remaps, and the failure hazard all track the
 // temperature the ladder is regulating.
 func runEmergency(requests int, faults bool, seed int64, failscale float64, oc *obs.CLI) error {
-	geom := thermal.ReferenceDrive
-	bpi, tpi := scaling.DefaultTrend().Densities(2005)
-	layout, err := capacity.New(capacity.Config{Geometry: geom, BPI: bpi, TPI: tpi, Zones: 50})
-	if err != nil {
-		return err
-	}
-	disk, err := disksim.New(disksim.Config{Layout: layout, RPM: 24534})
-	if err != nil {
-		return err
-	}
-	th, err := thermal.New(geom)
-	if err != nil {
-		return err
-	}
-	hot := th.SteadyState(thermal.WorstCase(24534))
-	disk.SetInstruments(disksim.NewInstruments(oc.Registry, len(layout.Zones), "policy", "escalation"))
-	esc := dtm.Escalation{
-		Disk:    disk,
-		Thermal: th,
-		Levels:  []units.RPM{24534, 21000, 18000, 15020},
-		Initial: &hot,
-		Ins:     dtm.NewInstruments(oc.Registry, "escalation"),
-	}
+	run := dtm.PolicyRun{Policy: "escalation", Requests: requests}
 	if faults {
 		inj := dtm.NewThermalFaults(dtm.OffTrackModel{}, reliability.Default(), nil, seed)
 		inj.TimeAcceleration = failscale
-		esc.Faults = inj
+		run.Faults = inj
 	}
-	var served int
-	res, err := esc.RunStream(engine(oc), policySource(layout.TotalSectors(), requests, 120),
-		sim.SinkFunc[disksim.Completion](func(disksim.Completion) { served++ }))
+	res, err := runScenario(run, oc)
 	if err != nil {
 		return err
 	}
-	th.ExportCache(oc.Registry, "policy", "escalation")
 	fmt.Printf("Thermal-emergency escalation ladder (2005 drive @24,534 RPM, hot start, %d requests)\n", requests)
 	fmt.Printf("  served %d/%d: mean %.2f ms, p95 %.2f ms, max air %.2f C\n",
-		served, requests,
-		res.MeanResponseMillis, res.P95ResponseMillis, float64(res.MaxAirTemp))
+		res.Served, requests, res.MeanMS, res.P95MS, res.MaxAirTempC)
 	fmt.Printf("  stage engagements: %d RPM step-downs, %d throttles (%.1fs), %d offlines (%.1fs)\n",
-		res.StepDowns, res.Throttles, res.ThrottledTime.Seconds(),
-		res.Offlines, res.OfflineTime.Seconds())
+		res.StepDowns, res.ThrottleEvents, res.ThrottledSimMS/1000, res.Offlines, res.OfflineSimMS/1000)
 	if faults {
 		fmt.Printf("  injected faults (seed %d, %gx hazard): %d off-track retries, %d sector remaps\n",
 			seed, failscale, res.Retries, res.Remaps)
@@ -319,11 +242,4 @@ func runEmergency(requests int, faults bool, seed int64, failscale float64, oc *
 	}
 	fmt.Println()
 	return nil
-}
-
-// policySource is the seeded synthetic policy workload (seed 11, the
-// historic comparison seed), shared with the serving layer via
-// dtm.SyntheticSource.
-func policySource(total int64, n int, rate float64) sim.Source[disksim.Request] {
-	return dtm.SyntheticSource(total, n, rate, 11)
 }

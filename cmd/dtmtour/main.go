@@ -1,22 +1,28 @@
 // Command dtmtour runs the DTM policy tournament from the command line and
 // streams the result as NDJSON: one "cell" line per (policy, workload,
-// regime) result in enumeration order, then a single "summary" line — the
-// same stream shape the simd tournament job serves over HTTP. Output is
-// byte-identical at every -workers value (the tournament determinism
-// contract), which is what lets CI pin the bracket as a golden artifact.
-// With -table, a human-readable scoreboard is printed instead.
+// regime) result in enumeration order, then a single "summary" line. The
+// flags become a simd tournament job spec, which runs through
+// server.RunSpec — the code the daemon's tournament job runs — so the
+// output is the simd job body by construction, and a spec simd would
+// refuse is refused here with the same message. Output is byte-identical
+// at every -workers value (the tournament determinism contract), which is
+// what lets CI pin the bracket as a golden artifact. With -table, the same
+// stream is decoded and printed as a human-readable scoreboard instead.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/tournament"
 )
 
@@ -34,17 +40,30 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := tournament.Config{
-		Policies:  split(*policies),
-		Workloads: split(*workloads),
-		Regimes:   split(*regimes),
-		Requests:  *requests,
-		Seed:      *seed,
-		LeadTime:  *lead,
-		LoadScale: *loadScale,
-		Workers:   *workers,
+	leadMS, err := server.WholeMS("lead", *lead)
+	check(err)
+	spec := server.Spec{Type: server.TypeTournament, Workers: *workers, Tournament: &server.TournamentSpec{
+		Policies:   split(*policies),
+		Workloads:  split(*workloads),
+		Regimes:    split(*regimes),
+		Requests:   *requests,
+		Seed:       *seed,
+		LeadTimeMS: leadMS,
+		LoadScale:  *loadScale,
+	}}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
+	if !*table {
+		check(server.RunSpec(ctx, spec, os.Stdout))
+		return
 	}
-	if err := run(cfg, *table); err != nil {
+	var stream bytes.Buffer
+	check(server.RunSpec(ctx, spec, &stream))
+	check(printTable(&stream))
+}
+
+func check(err error) {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "dtmtour:", err)
 		os.Exit(1)
 	}
@@ -63,48 +82,33 @@ func split(s string) []string {
 	return out
 }
 
-type cellLine struct {
-	Kind string `json:"kind"`
-	tournament.Cell
-}
-
-type summaryLine struct {
-	Kind string `json:"kind"`
-	tournament.Summary
-}
-
-func run(cfg tournament.Config, table bool) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-
-	if table {
-		return runTable(ctx, cfg)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	sum, err := tournament.Run(ctx, cfg, func(c tournament.Cell) error {
-		return enc.Encode(cellLine{Kind: "cell", Cell: c})
-	})
-	if err != nil {
-		return err
-	}
-	return enc.Encode(summaryLine{Kind: "summary", Summary: sum})
-}
-
-func runTable(ctx context.Context, cfg tournament.Config) error {
+// printTable renders the job's NDJSON stream as the scoreboard: one row per
+// cell line, then the per-policy totals of the summary line.
+func printTable(stream io.Reader) error {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "WORKLOAD\tREGIME\tPOLICY\tMEAN ms\tP95 ms\tMAX °C\tOVER ms\tEVENTS\tFLAPS\tSCORE")
-	sum, err := tournament.Run(ctx, cfg, func(c tournament.Cell) error {
-		failed := ""
+	var sum tournament.Summary
+	for dec := json.NewDecoder(stream); dec.More(); {
+		var line struct {
+			Kind string `json:"kind"`
+			tournament.Cell
+			Policies []tournament.PolicyTotal `json:"policies"` // the summary line's
+			Overall  string                   `json:"overall"`
+		}
+		if err := dec.Decode(&line); err != nil {
+			return err
+		}
+		if line.Kind == "summary" {
+			sum.Policies, sum.Overall = line.Policies, line.Overall
+			continue
+		}
+		c, failed := line.Cell, ""
 		if c.DiskFailed {
 			failed = " †"
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%.2f\t%.2f\t%.2f\t%.0f\t%d\t%d\t%.2f%s\n",
 			c.Workload, c.Regime, c.Policy, c.MeanMS, c.P95MS, c.MaxAirC,
 			c.TimeOverMS, c.ThrottleEvents, c.Flaps, c.Score, failed)
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	fmt.Fprintln(tw)
 	fmt.Fprintln(tw, "POLICY\tWINS\tMEAN ms\tOVER ms\tEVENTS\tFLAPS\tTOTAL SCORE")

@@ -1,21 +1,23 @@
 // Command fleetsim runs one fleet-scale thermal simulation from the command
 // line and streams the result as NDJSON: one "rack" line per rack as its
-// chassis shards complete, then a single "summary" line — the same stream
-// shape the simd fleet job serves over HTTP. Output is byte-identical at
-// every -workers value (the fleet determinism contract), which is what lets
-// CI pin a cooling-failure run as a golden artifact.
+// chassis shards complete, then a single "summary" line. The flags become a
+// simd fleet job spec, which runs through server.RunSpec — the code the
+// daemon's fleet job runs — so the output is the simd job body by
+// construction, and a spec simd would refuse is refused here with the same
+// message. Output is byte-identical at every -workers value (the fleet
+// determinism contract), which is what lets CI pin a cooling-failure run
+// as a golden artifact.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
-	"repro/internal/fleet"
-	"repro/internal/units"
+	"repro/internal/server"
 )
 
 func main() {
@@ -39,50 +41,36 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := fleet.Config{
-		Topology:  fleet.Topology{Racks: *racks, ChassisPerRack: *chassis, SlotsPerChassis: *slots},
-		Scenario:  fleet.Scenario{AirflowCFM: *airflow, Recirculation: *recirc},
-		Workload:  fleet.Workload{RequestsPerDrive: *requests, Seed: *seed},
-		Placement: fleet.Placement(*place),
-		Migration: fleet.Migration{
-			ThresholdC:  units.Celsius(*migrate),
-			HysteresisC: units.Celsius(*hyst),
-		},
-		Workers: *workers,
+	spec := server.Spec{Type: server.TypeFleet, Workers: *workers, Fleet: &server.FleetSpec{
+		Racks:            *racks,
+		ChassisPerRack:   *chassis,
+		SlotsPerChassis:  *slots,
+		RequestsPerDrive: *requests,
+		Seed:             *seed,
+		Placement:        *place,
+		MigrateAtC:       *migrate,
+		HysteresisC:      *hyst,
+		AirflowCFM:       *airflow,
+		Recirculation:    *recirc,
+	}}
+	if *workers == 0 {
+		spec.Workers = min(runtime.GOMAXPROCS(0), 32) // the job's fan-out cap
 	}
-	if *failFor > 0 {
-		cfg.Scenario.CoolingFailure = &fleet.CoolingFailure{
-			Rack:     *failRack,
-			At:       *failAt,
-			Duration: *failFor,
-			DeltaC:   units.Celsius(*failDelta),
-		}
+	atMS, err := server.WholeMS("fail-at", *failAt)
+	check(err)
+	forMS, err := server.WholeMS("fail-for", *failFor)
+	check(err)
+	if forMS > 0 {
+		spec.Fleet.CoolingFailure = &server.CoolingFailureSpec{Rack: *failRack, AtMS: atMS, DurationMS: forMS, DeltaC: *failDelta}
 	}
-	if err := run(cfg); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
+	check(server.RunSpec(ctx, spec, os.Stdout))
+}
+
+func check(err error) {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetsim:", err)
 		os.Exit(1)
 	}
-}
-
-type rackLine struct {
-	Kind string `json:"kind"`
-	fleet.RackSummary
-}
-
-type summaryLine struct {
-	Kind string `json:"kind"`
-	fleet.Summary
-}
-
-func run(cfg fleet.Config) error {
-	enc := json.NewEncoder(os.Stdout)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	sum, err := fleet.Run(ctx, cfg, func(rs fleet.RackSummary) error {
-		return enc.Encode(rackLine{Kind: "rack", RackSummary: rs})
-	})
-	if err != nil {
-		return err
-	}
-	return enc.Encode(summaryLine{Kind: "summary", Summary: sum})
 }

@@ -17,7 +17,7 @@ import (
 
 var sizes = []units.Inches{2.6, 2.1, 1.6}
 
-// workers is the -workers flag, threaded into every roadmap and walk
+// workers is the -workers flag, threaded into every roadmap grid
 // configuration (0 = all cores).
 var workers int
 
@@ -54,7 +54,7 @@ func main() {
 // runWalk prints the year-by-year design decisions of the paper's section 4
 // methodology.
 func runWalk() error {
-	steps, err := scaling.DesignWalk(scaling.WalkConfig{Workers: workers})
+	steps, err := scaling.DesignWalk(scaling.WalkConfig{})
 	if err != nil {
 		return err
 	}

@@ -13,9 +13,8 @@ import (
 // disk, 30% writes. Every call with the same arguments returns a fresh
 // source replaying the identical sequence, so each controller in a
 // comparison sees the same requests without the trace ever being
-// materialized. It is shared by cmd/dtm's policy comparison and the serving
-// layer's dtm jobs; seeded jobs stay byte-reproducible because the sequence
-// depends only on (totalSectors, n, rate, seed).
+// materialized. It is PolicyRun's workload; seeded runs stay
+// byte-reproducible because the sequence depends only on its arguments.
 func SyntheticSource(totalSectors int64, n int, rate float64, seed int64) sim.Source[disksim.Request] {
 	rng := rand.New(rand.NewSource(seed))
 	now := 0.0

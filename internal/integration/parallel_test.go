@@ -74,23 +74,6 @@ func TestRoadmapParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestDesignWalkParallelMatchesSequential: the walk's candidate scans must
-// pick the same design at any worker count (ties and "first meeting size"
-// resolve in input order).
-func TestDesignWalkParallelMatchesSequential(t *testing.T) {
-	seq, err := scaling.DesignWalk(scaling.WalkConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := scaling.DesignWalk(scaling.WalkConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("parallel design walk differs:\nseq %+v\npar %+v", seq, par)
-	}
-}
-
 // TestRunAllParallelMatchesSequential renders the full experiment suite at 1
 // and 4 workers and requires the output bytes to match exactly.
 func TestRunAllParallelMatchesSequential(t *testing.T) {

@@ -2,11 +2,10 @@ package scaling
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"repro/internal/capacity"
 	"repro/internal/geometry"
-	"repro/internal/parallel"
 	"repro/internal/perf"
 	"repro/internal/thermal"
 	"repro/internal/units"
@@ -62,13 +61,6 @@ type WalkConfig struct {
 	Trend Trend
 	// Zones is the ZBR zone count (0 = RoadmapZones).
 	Zones int
-	// Workers bounds the per-year candidate evaluation fan-out
-	// (0 = parallel.Default(); 1 = sequential). The walk itself stays
-	// year-sequential — each year's design depends on the last — but the
-	// candidate (size, platters) options within a year are independent
-	// simulations, and the walk picks the same candidate at any worker
-	// count.
-	Workers int
 }
 
 func (c WalkConfig) withDefaults() WalkConfig {
@@ -115,26 +107,18 @@ func DesignWalk(cfg WalkConfig) ([]WalkStep, error) {
 		return nil, fmt.Errorf("scaling: year range [%d,%d] inverted", cfg.FirstYear, cfg.LastYear)
 	}
 
-	// Envelope speeds depend only on geometry; cache them. The mutex makes
-	// the cache safe under the parallel candidate scans (candidates in one
-	// batch have distinct geometries, so no work is duplicated).
-	var maxRPMMu sync.Mutex
+	// Envelope speeds depend only on geometry; cache them.
 	maxRPM := make(map[geometry.Drive]units.RPM)
 	envelopeRPM := func(g geometry.Drive) (units.RPM, error) {
-		maxRPMMu.Lock()
-		v, ok := maxRPM[g]
-		maxRPMMu.Unlock()
-		if ok {
+		if v, ok := maxRPM[g]; ok {
 			return v, nil
 		}
 		th, err := thermal.New(g)
 		if err != nil {
 			return 0, err
 		}
-		v = th.MaxRPM(thermal.Envelope, 1, thermal.DefaultAmbient)
-		maxRPMMu.Lock()
+		v := th.MaxRPM(thermal.Envelope, 1, thermal.DefaultAmbient)
 		maxRPM[g] = v
-		maxRPMMu.Unlock()
 		return v, nil
 	}
 
@@ -170,15 +154,6 @@ func DesignWalk(cfg WalkConfig) ([]WalkStep, error) {
 		return float64(perf.IDR(c.layout, c.maxRPM)) >= float64(target)*(1-TargetTolerance)
 	}
 
-	sizeIndex := func(s units.Inches) int {
-		for i, v := range cfg.Sizes {
-			if v == s {
-				return i
-			}
-		}
-		return -1
-	}
-
 	size, platters := cfg.StartSize, cfg.StartPlatters
 	var lastCapacity units.Bytes
 	var steps []WalkStep
@@ -193,23 +168,19 @@ func DesignWalk(cfg WalkConfig) ([]WalkStep, error) {
 		chosen := cur
 
 		if !meets(cur, target) {
-			// Step 3: shrink the platter until the target fits. Every
-			// smaller size is evaluated concurrently; the scan then picks
-			// the first (largest) size that meets the target, exactly as
-			// the sequential walk did.
+			// Step 3: shrink the platter until the target fits: the first
+			// (largest) smaller size that meets it.
 			action = ""
-			idx := sizeIndex(size)
+			idx := slices.Index(cfg.Sizes, size)
 			if idx < 0 {
 				return nil, fmt.Errorf("scaling: size %v not in the candidate set", size)
 			}
-			smaller, err := parallel.Map(cfg.Workers, cfg.Sizes[idx+1:], func(_ int, s units.Inches) (candidate, error) {
-				return build(year, s, platters)
-			})
-			if err != nil {
-				return nil, err
-			}
 			found := false
-			for _, cand := range smaller {
+			for _, s := range cfg.Sizes[idx+1:] {
+				cand, err := build(year, s, platters)
+				if err != nil {
+					return nil, err
+				}
 				if meets(cand, target) {
 					chosen = cand
 					action = fmt.Sprintf("shrank platter to %v", cand.size)
@@ -246,16 +217,13 @@ func DesignWalk(cfg WalkConfig) ([]WalkStep, error) {
 			}
 			if !found {
 				// Falloff: ship the fastest legal configuration among all
-				// remaining options (evaluated concurrently, reduced in
-				// order so ties resolve identically to the sequential scan).
+				// remaining options (ties keep the larger size).
 				best := cur
-				cands, err := parallel.Map(cfg.Workers, cfg.Sizes[sizeIndex(size):], func(_ int, s units.Inches) (candidate, error) {
-					return build(year, s, platters)
-				})
-				if err != nil {
-					return nil, err
-				}
-				for _, cand := range cands {
+				for _, s := range cfg.Sizes[idx:] {
+					cand, err := build(year, s, platters)
+					if err != nil {
+						return nil, err
+					}
 					if perf.IDR(cand.layout, cand.maxRPM) > perf.IDR(best.layout, best.maxRPM) {
 						best = cand
 					}

@@ -2,11 +2,15 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/dtm"
 	"repro/internal/geometry"
 	"repro/internal/obs"
 	"repro/internal/surrogate"
@@ -94,10 +98,10 @@ type Figure4Spec struct {
 }
 
 // DTMSpec parameterizes a closed-loop policy run on the 2005 reference
-// drive, the configuration cmd/dtm's policy comparison uses.
+// drive: dtm.PolicyRun, the scenario cmd/dtm's policy comparison runs.
 type DTMSpec struct {
-	// Policy is one of "envelope", "watermark", "slack-ramp", "drpm" or
-	// "escalation".
+	// Policy is one of dtm.Policies: "envelope", "watermark",
+	// "slack-ramp", "drpm" or "escalation".
 	Policy string `json:"policy"`
 
 	Requests int     `json:"requests,omitempty"` // 0 = 30000
@@ -217,12 +221,12 @@ func (t *TournamentSpec) validate(cfg Config, async bool) error {
 		requests = 4000
 	}
 	work := int64(tc.Cells()) * int64(requests)
-	if work > cfg.MaxTournamentWork {
-		return fmt.Errorf("tournament of %d cell-requests exceeds the %d cap", work, cfg.MaxTournamentWork)
+	if work > maxTournamentWork {
+		return fmt.Errorf("tournament of %d cell-requests exceeds the %d cap", work, maxTournamentWork)
 	}
-	if !async && work > cfg.MaxSyncTournamentWork {
+	if !async && work > maxSyncTournamentWork {
 		return fmt.Errorf("tournament of %d cell-requests exceeds the synchronous cap of %d; submit with ?async=1 and poll the result",
-			work, cfg.MaxSyncTournamentWork)
+			work, maxSyncTournamentWork)
 	}
 	return nil
 }
@@ -340,12 +344,12 @@ func (sp *SurrogateSpec) validate(cfg Config, async bool) error {
 			probes = surrogate.DefaultProbes
 		}
 		work := int64(tc.LatencyCells()+folds*probes) * int64(requests)
-		if work > cfg.MaxSurrogateWork {
-			return fmt.Errorf("surrogate training of %d cell-requests exceeds the %d cap", work, cfg.MaxSurrogateWork)
+		if work > maxSurrogateWork {
+			return fmt.Errorf("surrogate training of %d cell-requests exceeds the %d cap", work, maxSurrogateWork)
 		}
-		if !async && work > cfg.MaxSyncSurrogateWork {
+		if !async && work > maxSyncSurrogateWork {
 			return fmt.Errorf("surrogate training of %d cell-requests exceeds the synchronous cap of %d; submit with ?async=1 and poll the result",
-				work, cfg.MaxSyncSurrogateWork)
+				work, maxSyncSurrogateWork)
 		}
 		return nil
 	case "query":
@@ -355,8 +359,8 @@ func (sp *SurrogateSpec) validate(cfg Config, async bool) error {
 		switch {
 		case len(sp.Queries) == 0:
 			return fmt.Errorf("surrogate query job has no queries")
-		case len(sp.Queries) > cfg.MaxSurrogateQueries:
-			return fmt.Errorf("%d queries exceeds the %d-query cap", len(sp.Queries), cfg.MaxSurrogateQueries)
+		case len(sp.Queries) > maxSurrogateQueries:
+			return fmt.Errorf("%d queries exceeds the %d-query cap", len(sp.Queries), maxSurrogateQueries)
 		case sp.MaxRelErr < 0 || sp.MaxRelErr > 10:
 			return fmt.Errorf("max_rel_err %g outside [0,10]", sp.MaxRelErr)
 		}
@@ -373,82 +377,97 @@ func (sp *SurrogateSpec) validate(cfg Config, async bool) error {
 	}
 }
 
-// dtmPolicies is the accepted DTMSpec.Policy set.
-var dtmPolicies = map[string]bool{
-	"envelope": true, "watermark": true, "slack-ramp": true,
-	"drpm": true, "escalation": true,
+// jobKind is one job type's parameter block: its admission check and its
+// runner. A new job type is one Spec field, one block type implementing
+// jobKind, and one row in jobKinds.
+type jobKind interface {
+	// validate is the block's admission check; async tells size-sensitive
+	// blocks whether the submission rides the async path.
+	validate(cfg Config, async bool) error
+	// run executes the job, emitting its result lines through env.
+	run(ctx context.Context, s *Server, spec Spec, env runEnv) error
+}
+
+// kindRow is one jobKinds entry. block returns the spec's block for the
+// type, nil when it is absent; zero, when set, is the all-defaults block an
+// absent one stands for.
+type kindRow struct {
+	block func(*Spec) jobKind
+	zero  jobKind
+}
+
+// jobKinds maps each Spec.Type to its parameter block.
+var jobKinds = map[string]kindRow{
+	TypeRoadmap:    {func(s *Spec) jobKind { return blockOf(s.Roadmap) }, &RoadmapSpec{}},
+	TypeFigure4:    {func(s *Spec) jobKind { return blockOf(s.Figure4) }, nil},
+	TypeDTM:        {func(s *Spec) jobKind { return blockOf(s.DTM) }, nil},
+	TypeRAID:       {func(s *Spec) jobKind { return blockOf(s.RAID) }, nil},
+	TypeFleet:      {func(s *Spec) jobKind { return blockOf(s.Fleet) }, nil},
+	TypeTournament: {func(s *Spec) jobKind { return blockOf(s.Tournament) }, &TournamentSpec{}},
+	TypeSurrogate:  {func(s *Spec) jobKind { return blockOf(s.Surrogate) }, nil},
+}
+
+// blockOf is p as a jobKind, and a nil interface for a nil block.
+func blockOf[P interface {
+	*T
+	jobKind
+}, T any](p P) jobKind {
+	if p == nil {
+		return nil
+	}
+	return p
+}
+
+// kind resolves the spec's type to its parameter block. A spec carries
+// exactly its own type's block, or none for a type whose block is
+// optional.
+func (s *Spec) kind() (jobKind, error) {
+	k, ok := jobKinds[s.Type]
+	switch {
+	case s.Type == "":
+		return nil, fmt.Errorf("missing job type")
+	case !ok:
+		return nil, fmt.Errorf("unknown job type %q", s.Type)
+	}
+	blocks := 0
+	for _, other := range jobKinds {
+		if other.block(s) != nil {
+			blocks++
+		}
+	}
+	b := k.block(s)
+	switch {
+	case k.zero == nil && (b == nil || blocks != 1):
+		return nil, fmt.Errorf("type %q needs exactly a %q block", s.Type, s.Type)
+	case blocks > 1 || (blocks == 1 && b == nil):
+		return nil, fmt.Errorf("type %q takes only a %q block", s.Type, s.Type)
+	case b == nil:
+		return k.zero, nil
+	}
+	return b, nil
 }
 
 // validate is the admission-control gate: everything a runner would choke
 // on — and everything that would let one request monopolize the host — is
 // rejected here with a client-attributable message. async tells the
 // size-sensitive job types whether the submission rides the async path;
-// the sync path carries tighter fleet-size bounds because its caller
-// holds an open connection for the whole run.
+// the sync path carries tighter size bounds because its caller holds an
+// open connection for the whole run.
 func (s Spec) validate(cfg Config, async bool) error {
-	blocks := 0
-	for _, set := range []bool{s.Roadmap != nil, s.Figure4 != nil, s.DTM != nil, s.RAID != nil, s.Fleet != nil, s.Tournament != nil, s.Surrogate != nil} {
-		if set {
-			blocks++
-		}
-	}
 	if s.Workers < 0 || s.Workers > maxJobWorkers {
 		return fmt.Errorf("workers %d outside [0,%d]", s.Workers, maxJobWorkers)
 	}
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms %d is negative", s.TimeoutMS)
 	}
-	switch s.Type {
-	case TypeRoadmap:
-		if blocks > 1 || (blocks == 1 && s.Roadmap == nil) {
-			return fmt.Errorf("type %q takes only a %q block", s.Type, s.Type)
-		}
-		return s.Roadmap.validate()
-	case TypeFigure4:
-		if s.Figure4 == nil || blocks != 1 {
-			return fmt.Errorf("type %q needs exactly a %q block", s.Type, s.Type)
-		}
-		return s.Figure4.validate(cfg)
-	case TypeDTM:
-		if s.DTM == nil || blocks != 1 {
-			return fmt.Errorf("type %q needs exactly a %q block", s.Type, s.Type)
-		}
-		return s.DTM.validate(cfg)
-	case TypeRAID:
-		if s.RAID == nil || blocks != 1 {
-			return fmt.Errorf("type %q needs exactly a %q block", s.Type, s.Type)
-		}
-		return s.RAID.validate(cfg)
-	case TypeFleet:
-		if s.Fleet == nil || blocks != 1 {
-			return fmt.Errorf("type %q needs exactly a %q block", s.Type, s.Type)
-		}
-		return s.Fleet.validate(cfg, async)
-	case TypeTournament:
-		if blocks > 1 || (blocks == 1 && s.Tournament == nil) {
-			return fmt.Errorf("type %q takes only a %q block", s.Type, s.Type)
-		}
-		t := s.Tournament
-		if t == nil {
-			t = &TournamentSpec{} // all defaults
-		}
-		return t.validate(cfg, async)
-	case TypeSurrogate:
-		if s.Surrogate == nil || blocks != 1 {
-			return fmt.Errorf("type %q needs exactly a %q block", s.Type, s.Type)
-		}
-		return s.Surrogate.validate(cfg, async)
-	case "":
-		return fmt.Errorf("missing job type")
-	default:
-		return fmt.Errorf("unknown job type %q", s.Type)
+	b, err := s.kind()
+	if err != nil {
+		return err
 	}
+	return b.validate(cfg, async)
 }
 
-func (r *RoadmapSpec) validate() error {
-	if r == nil {
-		return nil // all defaults
-	}
+func (r *RoadmapSpec) validate(Config, bool) error {
 	first, last := r.FirstYear, r.LastYear
 	if first == 0 {
 		first = 2002
@@ -489,7 +508,7 @@ func lookupWorkloads(name string) ([]trace.Params, error) {
 	return []trace.Params{w}, nil
 }
 
-func (f *Figure4Spec) validate(cfg Config) error {
+func (f *Figure4Spec) validate(cfg Config, _ bool) error {
 	if _, err := lookupWorkloads(f.Workload); err != nil {
 		return err
 	}
@@ -507,8 +526,8 @@ func (f *Figure4Spec) validate(cfg Config) error {
 	return nil
 }
 
-func (d *DTMSpec) validate(cfg Config) error {
-	if !dtmPolicies[d.Policy] {
+func (d *DTMSpec) validate(cfg Config, _ bool) error {
+	if !slices.Contains(dtm.Policies, d.Policy) {
 		return fmt.Errorf("unknown dtm policy %q", d.Policy)
 	}
 	switch {
@@ -522,7 +541,7 @@ func (d *DTMSpec) validate(cfg Config) error {
 	return nil
 }
 
-func (r *RAIDSpec) validate(cfg Config) error {
+func (r *RAIDSpec) validate(cfg Config, _ bool) error {
 	ws, err := lookupWorkloads(r.Workload)
 	if err != nil {
 		return err
@@ -680,11 +699,10 @@ type errorLine struct {
 // against the journaled one, so a broken determinism contract fails the
 // job loudly instead of serving a silently-spliced result.
 func (j *job) emit(v any) error {
-	line, err := json.Marshal(v)
+	line, err := encodeLine(v, j.buf.lineCount)
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	if j.skip > 0 {
 		idx := j.verifyIdx
@@ -708,6 +726,27 @@ func (j *job) emit(v any) error {
 		j.mu.Unlock()
 	}
 	return nil
+}
+
+// errNonFinite fails a job whose result holds a NaN or an infinity, which
+// JSON cannot carry.
+var errNonFinite = errors.New("non-finite result")
+
+// encodeLine encodes one NDJSON result line, newline included. A value JSON
+// cannot carry fails as errNonFinite naming the line's index (line is
+// called only then), so a thermal singularity is a clear job failure, not
+// a half-written stream. A resumed run never reaches it inside its
+// journaled prefix: that prefix was encoded once already.
+func encodeLine(v any, line func() int) ([]byte, error) {
+	b, err := json.Marshal(v)
+	var uv *json.UnsupportedValueError
+	if errors.As(err, &uv) {
+		return nil, fmt.Errorf("%w at line %d: %s", errNonFinite, line(), uv.Str)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
 }
 
 // takePending claims the emitted-but-not-durable lines for a checkpoint.

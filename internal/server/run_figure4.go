@@ -34,10 +34,9 @@ type figure4SummaryLine struct {
 	Improvements []float64 `json:"improvements"`
 }
 
-// runFigure4 replays one workload (or all five) across the RPM sweep,
-// streaming each completed step.
-func runFigure4(ctx context.Context, spec Spec, env runEnv) error {
-	f := spec.Figure4
+// run replays one workload (or all five) across the RPM sweep, streaming
+// each completed step.
+func (f *Figure4Spec) run(ctx context.Context, _ *Server, spec Spec, env runEnv) error {
 	workloads, err := lookupWorkloads(f.Workload)
 	if err != nil {
 		return err

@@ -23,8 +23,8 @@ type fleetSummaryLine struct {
 	fleet.Summary
 }
 
-// fleetConfig maps the wire spec onto the fleet engine's configuration.
-func fleetConfig(f *FleetSpec, workers int, met *fleet.Metrics) fleet.Config {
+// config maps the wire spec onto the fleet engine's configuration.
+func (f *FleetSpec) config(workers int, met *fleet.Metrics) fleet.Config {
 	cfg := fleet.Config{
 		Topology: fleet.Topology{
 			Racks:           f.Racks,
@@ -60,15 +60,14 @@ func fleetConfig(f *FleetSpec, workers int, met *fleet.Metrics) fleet.Config {
 	return cfg
 }
 
-// runFleet executes a fleet job: one "rack" line per rack as the shard
+// run executes a fleet job: one "rack" line per rack as the shard
 // merges complete, then the fleet "summary". Rack boundaries are the
 // deterministic checkpoint positions — a resumed run re-simulates from the
 // start and verify-skips the racks already journaled, re-finding exactly
 // the same boundaries because the merge order is topology order at every
 // worker count.
-func runFleet(ctx context.Context, spec Spec, env runEnv, met *fleet.Metrics) error {
-	cfg := fleetConfig(spec.Fleet, spec.workers(), met)
-	sum, err := fleet.Run(ctx, cfg, func(rs fleet.RackSummary) error {
+func (f *FleetSpec) run(ctx context.Context, s *Server, spec Spec, env runEnv) error {
+	sum, err := fleet.Run(ctx, f.config(spec.workers(), s.fleetMet), func(rs fleet.RackSummary) error {
 		if err := env.emit(fleetRackLine{Kind: "rack", RackSummary: rs}); err != nil {
 			return err
 		}

@@ -59,10 +59,9 @@ type raidReportLine struct {
 	MTTDLHours      float64 `json:"mttdl_hours,omitempty"`
 }
 
-// runRAID replays one workload with a member disk failed mid-run through
-// the recovery engine, streaming fault events and the final report.
-func runRAID(ctx context.Context, spec Spec, env runEnv) error {
-	r := spec.RAID
+// run replays one workload with a member disk failed mid-run through the
+// recovery engine, streaming fault events and the final report.
+func (r *RAIDSpec) run(ctx context.Context, _ *Server, _ Spec, env runEnv) error {
 	w, err := trace.WorkloadByName(r.Workload)
 	if err != nil {
 		return err

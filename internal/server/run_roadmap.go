@@ -59,14 +59,10 @@ type roadmapSummaryLine struct {
 	FalloffYear int    `json:"falloff_year"`
 }
 
-// runRoadmap executes a roadmap job. scaling.Roadmap has no internal
+// run executes a roadmap job. scaling.Roadmap has no internal
 // cancellation hooks, but a default sweep is sub-second, so the job runs
 // whole and the context is honoured between emitted lines.
-func runRoadmap(ctx context.Context, spec Spec, env runEnv) error {
-	r := spec.Roadmap
-	if r == nil {
-		r = &RoadmapSpec{}
-	}
+func (r *RoadmapSpec) run(ctx context.Context, _ *Server, spec Spec, env runEnv) error {
 	cfg := scaling.Config{
 		FirstYear:    r.FirstYear,
 		LastYear:     r.LastYear,

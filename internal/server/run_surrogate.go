@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/surrogate"
@@ -48,33 +47,25 @@ type surrogateQuerySummary struct {
 	Fallbacks int    `json:"fallbacks"`
 }
 
-// runSurrogate routes a surrogate job by mode.
-func runSurrogate(ctx context.Context, spec Spec, env runEnv, s *Server) error {
-	sp := spec.Surrogate
-	if sp == nil {
-		return fmt.Errorf("surrogate job missing its block")
+// run routes a surrogate job by mode, which validate has checked.
+func (sp *SurrogateSpec) run(ctx context.Context, s *Server, spec Spec, env runEnv) error {
+	if sp.Mode == "train" {
+		return s.trainSurrogate(ctx, sp, spec.workers(), env)
 	}
-	switch sp.Mode {
-	case "train":
-		return runSurrogateTrain(ctx, spec, env, s)
-	case "query":
-		return runSurrogateQuery(ctx, spec, env, s)
-	default:
-		return fmt.Errorf("unknown surrogate mode %q", sp.Mode)
-	}
+	return s.querySurrogate(ctx, sp, env)
 }
 
-// runSurrogateTrain samples the grid (streaming one line per cell, with
+// trainSurrogate samples the grid (streaming one line per cell, with
 // checkpoint marks on the fixed training windows), emits the
 // cross-validation folds and the artifact summary, and installs the model
 // as the server's serving model.
-func runSurrogateTrain(ctx context.Context, spec Spec, env runEnv, s *Server) error {
-	t := spec.Surrogate.Train
+func (s *Server) trainSurrogate(ctx context.Context, sp *SurrogateSpec, workers int, env runEnv) error {
+	t := sp.Train
 	if t == nil {
 		t = &SurrogateTrainSpec{}
 	}
 	cells := 0
-	m, err := surrogate.Train(ctx, t.config(spec.workers()), func(c surrogate.Cell) error {
+	m, err := surrogate.Train(ctx, t.config(workers), func(c surrogate.Cell) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -118,11 +109,10 @@ func runSurrogateTrain(ctx context.Context, spec Spec, env runEnv, s *Server) er
 	return nil
 }
 
-// runSurrogateQuery answers the batch: the installed model where it is
+// querySurrogate answers the batch: the installed model where it is
 // trusted and covers the query, the exact engine otherwise. Fallbacks and
 // hits are counted both in /metrics and in the closing summary line.
-func runSurrogateQuery(ctx context.Context, spec Spec, env runEnv, s *Server) error {
-	sp := spec.Surrogate
+func (s *Server) querySurrogate(ctx context.Context, sp *SurrogateSpec, env runEnv) error {
 	model, exact := s.surrogateState()
 	var hits, fallbacks int
 	for i, q := range sp.Queries {

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 
-	"repro/internal/obs"
 	"repro/internal/tournament"
 )
 
@@ -22,19 +21,15 @@ type tournamentSummaryLine struct {
 	tournament.Summary
 }
 
-// runTournament executes a tournament job: one "cell" line per result in
+// run executes a tournament job: one "cell" line per result in
 // enumeration order, then the "summary". Cell boundaries are the
 // deterministic checkpoint positions — a resumed run re-simulates from the
 // start and verify-skips the cells already journaled, re-finding exactly the
 // same boundaries because the merge order is enumeration order at every
 // worker count.
-func runTournament(ctx context.Context, spec Spec, env runEnv, reg *obs.Registry) error {
-	cfg := spec.Tournament
-	if cfg == nil {
-		cfg = &TournamentSpec{}
-	}
+func (t *TournamentSpec) run(ctx context.Context, s *Server, spec Spec, env runEnv) error {
 	cells := 0
-	sum, err := tournament.Run(ctx, cfg.config(spec.workers(), reg), func(c tournament.Cell) error {
+	sum, err := tournament.Run(ctx, t.config(spec.workers(), s.reg), func(c tournament.Cell) error {
 		if err := env.emit(tournamentCellLine{Kind: "cell", Cell: c}); err != nil {
 			return err
 		}

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -27,6 +28,20 @@ import (
 
 // maxJobWorkers caps a single job's internal fan-out.
 const maxJobWorkers = 32
+
+// Size caps of the tournament and surrogate job types. Work is the total
+// simulated request count: a tournament's cells times per-cell requests, a
+// surrogate training's grid cells plus cross-validation probes times
+// per-replay requests. The sync caps are the tighter bounds for
+// synchronous submissions, which hold one HTTP connection and one pool
+// worker for the whole run; larger jobs must go through ?async=1.
+const (
+	maxTournamentWork     = 2000000
+	maxSyncTournamentWork = 100000
+	maxSurrogateWork      = 10000000
+	maxSyncSurrogateWork  = 1000000
+	maxSurrogateQueries   = 4096 // one query job's batch size
+)
 
 // Config sizes the service. Zero values take the defaults noted per field.
 type Config struct {
@@ -50,23 +65,6 @@ type Config struct {
 	// larger fleets must go through ?async=1.
 	MaxFleetDrives     int
 	MaxSyncFleetDrives int
-
-	// MaxTournamentWork caps a tournament job's total simulated requests
-	// (cells × per-cell requests) regardless of submission path (default
-	// 2,000,000). MaxSyncTournamentWork is the tighter synchronous bound
-	// (default 100,000); larger brackets must go through ?async=1.
-	MaxTournamentWork     int64
-	MaxSyncTournamentWork int64
-
-	// MaxSurrogateWork caps a surrogate training job's total simulated
-	// requests (grid cells plus cross-validation probes, times per-replay
-	// requests) regardless of submission path (default 10,000,000).
-	// MaxSyncSurrogateWork is the tighter synchronous bound (default
-	// 1,000,000). MaxSurrogateQueries caps one query job's batch size
-	// (default 4096).
-	MaxSurrogateWork     int64
-	MaxSyncSurrogateWork int64
-	MaxSurrogateQueries  int
 
 	// SurrogateModel preloads a trained surrogate model at boot (the
 	// daemon's -surrogate-model flag); nil starts without one, and every
@@ -125,21 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSyncFleetDrives <= 0 {
 		c.MaxSyncFleetDrives = 20000
-	}
-	if c.MaxTournamentWork <= 0 {
-		c.MaxTournamentWork = 2000000
-	}
-	if c.MaxSyncTournamentWork <= 0 {
-		c.MaxSyncTournamentWork = 100000
-	}
-	if c.MaxSurrogateWork <= 0 {
-		c.MaxSurrogateWork = 10000000
-	}
-	if c.MaxSyncSurrogateWork <= 0 {
-		c.MaxSyncSurrogateWork = 1000000
-	}
-	if c.MaxSurrogateQueries <= 0 {
-		c.MaxSurrogateQueries = 4096
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 2000
@@ -596,7 +579,11 @@ func (s *Server) runJob(j *job) {
 	}
 	s.journalState(j, StatusRunning, "")
 	s.met.inflightDelta(1)
-	err := s.dispatch(ctx, j)
+	err := s.dispatch(ctx, j.spec, runEnv{
+		emit:            j.emit,
+		ckpt:            s.checkpointer(j),
+		checkpointEvery: s.cfg.CheckpointEvery,
+	})
 	s.met.inflightDelta(-1)
 
 	var st Status
@@ -617,11 +604,11 @@ func (s *Server) runJob(j *job) {
 	s.met.jobFinished(st)
 }
 
-// dispatch routes a job to its runner. The emit closure funnels every
-// result line through the job's buffer; a full buffer fails the job. A
-// panicking runner is contained here: the job fails with the panic message
-// in its result and the worker pool keeps serving.
-func (s *Server) dispatch(ctx context.Context, j *job) (err error) {
+// dispatch runs a spec's job through its jobKinds block. env.emit funnels
+// every result line to the job's destination; an emit error fails the
+// job. A panicking runner is contained here: the job fails with the panic
+// message in its result and the worker pool keeps serving.
+func (s *Server) dispatch(ctx context.Context, spec Spec, env runEnv) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("job panicked: %v", r)
@@ -633,27 +620,48 @@ func (s *Server) dispatch(ctx context.Context, j *job) (err error) {
 	}
 	s.cfg.Chaos.Stall(ctx, "job.stall", s.cfg.JobTimeout)
 
-	env := runEnv{
-		emit:            j.emit,
-		ckpt:            s.checkpointer(j),
-		checkpointEvery: s.cfg.CheckpointEvery,
+	b, err := spec.kind()
+	if err != nil {
+		return err
 	}
-	switch j.spec.Type {
-	case TypeRoadmap:
-		return runRoadmap(ctx, j.spec, env)
-	case TypeFigure4:
-		return runFigure4(ctx, j.spec, env)
-	case TypeDTM:
-		return runDTM(ctx, j.spec, env)
-	case TypeRAID:
-		return runRAID(ctx, j.spec, env)
-	case TypeFleet:
-		return runFleet(ctx, j.spec, env, s.fleetMet)
-	case TypeTournament:
-		return runTournament(ctx, j.spec, env, s.reg)
-	case TypeSurrogate:
-		return runSurrogate(ctx, j.spec, env, s)
-	default:
-		return fmt.Errorf("unknown job type %q", j.spec.Type)
+	return b.run(ctx, s, spec, env)
+}
+
+// WholeMS converts a command-line duration to the whole milliseconds a
+// Spec carries, refusing a value it would have to truncate.
+func WholeMS(flag string, d time.Duration) (int64, error) {
+	if d%time.Millisecond != 0 {
+		return 0, fmt.Errorf("-%s %v is not a whole number of milliseconds", flag, d)
 	}
+	return d.Milliseconds(), nil
+}
+
+// RunSpec runs one job outside the daemon, for the command-line faces of
+// the job types. The spec is admitted as an async POST /v1/jobs would be
+// under the default Config, and rejected with the same message; the job's
+// NDJSON result lines are then written to w as they are emitted, the same
+// bytes a POST would serve. The job runs under ctx, shortened by the
+// spec's timeout_ms; on failure w holds the lines emitted before it, and
+// the error is returned instead of an in-band error line.
+func RunSpec(ctx context.Context, spec Spec, w io.Writer) error {
+	s := newServer(Config{})
+	defer s.runCancel()
+	if err := spec.validate(s.cfg, true); err != nil {
+		return fmt.Errorf("invalid job spec: %w", err)
+	}
+	if spec.TimeoutMS > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.TimeoutMS)*time.Millisecond)
+		defer cancel()
+	}
+	lines := 0
+	return s.dispatch(ctx, spec, runEnv{emit: func(v any) error {
+		line, err := encodeLine(v, func() int { return lines })
+		if err != nil {
+			return err
+		}
+		lines++
+		_, err = w.Write(line)
+		return err
+	}})
 }
