@@ -7,9 +7,12 @@
 //
 // Each benchmark's best (minimum) ns/op across -count repetitions is
 // compared, which filters scheduler noise the way benchstat's min column
-// does; allocs/op is exact and compared directly. Regressions beyond
-// -tolerance fail with a readable table; improvements are reported but
-// never fail. Baseline entries the run did not execute are listed as
+// does; ns/op regressions beyond -tolerance fail. allocs/op (also the best
+// of the repetitions) is exact: it fails as soon as it exceeds the baseline
+// plus the row's absolute "allocs_slack" (default 0), whatever -tolerance
+// says. A row sets a slack only where repeated runs show spread, such as
+// set-up cost amortised over b.N. Failures print a readable table;
+// improvements are reported but never fail. Baseline entries the run did not execute are listed as
 // skipped (CI shards run subsets), and trailing -N GOMAXPROCS suffixes are
 // stripped so the same baseline serves any host width.
 package main
@@ -34,6 +37,7 @@ type baseline struct {
 		NsPerOp     float64  `json:"ns_per_op"`
 		BytesPerOp  *float64 `json:"bytes_per_op"`
 		AllocsPerOp *float64 `json:"allocs_per_op"`
+		AllocsSlack float64  `json:"allocs_slack"`
 	} `json:"benchmarks"`
 }
 
@@ -54,7 +58,7 @@ func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
 func main() {
 	var baselines stringList
 	flag.Var(&baselines, "baseline", "baseline JSON file (repeatable)")
-	tolerance := flag.Float64("tolerance", 0.25, "maximum relative increase in ns/op and allocs/op before failing")
+	tolerance := flag.Float64("tolerance", 0.25, "maximum relative increase in ns/op before failing (allocs/op is exact)")
 	flag.Parse()
 	if len(baselines) == 0 || flag.NArg() > 1 {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff -baseline BENCH_x.json [-baseline ...] [bench-output.txt]")
@@ -187,18 +191,25 @@ func run(w io.Writer, in io.Reader, baselinePaths []string, tol float64) (bool, 
 			fmt.Fprintf(w, "%-45s %12.0fns %12.0fns %+7.1f%%  %s\n",
 				b.Name, b.NsPerOp, m.nsPerOp, delta*100, status)
 			if b.AllocsPerOp != nil && m.hasAllocs {
+				want := *b.AllocsPerOp
 				ad := 0.0
-				if *b.AllocsPerOp > 0 {
-					ad = (m.allocsPerOp - *b.AllocsPerOp) / *b.AllocsPerOp
+				if want > 0 {
+					ad = (m.allocsPerOp - want) / want
 				} else if m.allocsPerOp > 0 {
 					ad = 1 // zero-alloc baseline broken by any allocation
 				}
 				astatus := "ok"
-				if ad > tol {
+				switch {
+				case m.allocsPerOp > want+b.AllocsSlack:
 					astatus, pass = "REGRESSED", false
+				case m.allocsPerOp < want:
+					astatus = "improved"
+				}
+				if b.AllocsSlack > 0 {
+					astatus += fmt.Sprintf(" (slack %g)", b.AllocsSlack)
 				}
 				fmt.Fprintf(w, "%-45s %12.0f a %12.0f a %+7.1f%%  %s\n",
-					"  allocs/op", *b.AllocsPerOp, m.allocsPerOp, ad*100, astatus)
+					"  allocs/op", want, m.allocsPerOp, ad*100, astatus)
 			}
 		}
 	}
@@ -206,7 +217,7 @@ func run(w io.Writer, in io.Reader, baselinePaths []string, tol float64) (bool, 
 		fmt.Fprintf(w, "%-45s %14s %14s %8s  skipped (not run)\n", name, "-", "-", "-")
 	}
 	if !pass {
-		fmt.Fprintf(w, "\nbenchdiff: regression beyond %.0f%% tolerance\n", tol*100)
+		fmt.Fprintf(w, "\nbenchdiff: regression (ns/op beyond %.0f%% tolerance, or allocs/op above baseline + slack)\n", tol*100)
 	}
 	return pass, nil
 }

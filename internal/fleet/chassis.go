@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/disksim"
@@ -59,6 +60,22 @@ type chassisResult struct {
 	throttledTime  time.Duration
 	migrations     int64
 }
+
+// arrival is one drawn request of a drive stream, before it is bound to a
+// slot (the stream's slot can change by migration while it waits).
+type arrival struct {
+	at    time.Duration
+	id    int64
+	frac  float64 // position across the drive's LBN range
+	write bool
+}
+
+func (a arrival) when() time.Duration { return a.at }
+
+// rngPool recycles the per-stream generators: a math/rand source is ~5 KB,
+// and every chassis needs one per slot. Seed resets a pooled source to
+// exactly the state rand.NewSource would build.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // fleetDrive is one slot's live state during a chassis simulation.
 type fleetDrive struct {
@@ -229,53 +246,64 @@ func runChassis(ctx context.Context, cfg Config, env chassisEnv, streamOn []int,
 		return best
 	}
 
-	// One admit loop per stream bound to this chassis. The stream keeps
-	// its own rng (keyed by global stream id) and its current slot; a
-	// migration rebinds the remaining requests to the cooler slot.
+	// One admission chain per stream bound to this chassis. The stream
+	// draws from its own rng (keyed by global stream id; pooled, and
+	// re-seeded to exactly the sequence a fresh source would give) and
+	// tracks its current slot; a migration rebinds the remaining requests
+	// to the cooler slot. The chain reuses one event closure per stream,
+	// so admission allocates nothing per request.
+	rngs := make([]*rand.Rand, n)
 	for s := 0; s < n; s++ {
 		spec := streams[streamOn[env.slot0+s]]
-		rng := rand.New(rand.NewSource(mix(cfg.Workload.Seed, tagArrival, int64(spec.id))))
+		rng := rngPool.Get().(*rand.Rand)
+		rngs[s] = rng
+		rng.Seed(mix(cfg.Workload.Seed, tagArrival, int64(spec.id)))
 		slot := s
 		remaining := cfg.Workload.RequestsPerDrive
 		now := 0.0
 		nextID := int64(spec.id) * int64(cfg.Workload.RequestsPerDrive)
 
-		var admit func(e *sim.Engine)
-		admit = func(e *sim.Engine) {
+		next := func() (arrival, bool) {
 			if remaining == 0 {
-				return
+				return arrival{}, false
 			}
 			remaining--
 			now += rng.ExpFloat64() / spec.rate
-			frac := rng.Float64()
-			write := rng.Float64() < writeFraction
-			arrival := time.Duration(now * float64(time.Second))
-			id := nextID
+			// Go evaluates the calls in lexical order: frac before write.
+			a := arrival{
+				at:    time.Duration(now * float64(time.Second)),
+				id:    nextID,
+				frac:  rng.Float64(),
+				write: rng.Float64() < writeFraction,
+			}
 			nextID++
-			e.At(arrival, func(e *sim.Engine) {
+			return a, true
+		}
+		sim.Chain(eng, sim.SourceFunc[arrival](next), arrival.when,
+			func(e *sim.Engine, a arrival) bool {
 				d := drives[slot]
-				lbn := int64(frac * float64(d.gen.TotalSectors-requestSectors))
+				lbn := int64(a.frac * float64(d.gen.TotalSectors-requestSectors))
 				ok := serve(e, d, disksim.Request{
-					ID:      id,
-					Arrival: arrival,
+					ID:      a.id,
+					Arrival: a.at,
 					LBN:     lbn,
 					Sectors: requestSectors,
-					Write:   write,
+					Write:   a.write,
 				})
-				if !ok {
-					return
-				}
-				if cfg.Migration.ThresholdC > 0 && d.air >= cfg.Migration.ThresholdC {
+				if ok && cfg.Migration.ThresholdC > 0 && d.air >= cfg.Migration.ThresholdC {
 					if to := pickCooler(slot); to >= 0 {
 						slot = to
 						res.migrations++
 					}
 				}
-				admit(e)
-			})
-		}
-		admit(eng)
+				return ok
+			}, nil)
 	}
+	defer func() {
+		for _, rng := range rngs {
+			rngPool.Put(rng)
+		}
+	}()
 
 	if err := eng.Run(); err != nil {
 		return nil, err

@@ -82,3 +82,35 @@ func TestTenThousandDriveMemoryCeiling(t *testing.T) {
 		t.Fatalf("run retained %d MB", (m1.HeapAlloc-m0.HeapAlloc)>>20)
 	}
 }
+
+// allocSlack absorbs run-to-run spread in the fleet's set-up allocations
+// (the generator pool refilling after a collection; repeated runs measure
+// within about a dozen of each other). One allocation per request would add
+// 11,520 to the long run.
+const allocSlack = 64
+
+// TestAllocsIndependentOfRequestsPerDrive pins the chassis loop's
+// allocation contract: admission reuses one event closure per stream and
+// the pooled generators, so a fleet run's allocations are its per-drive
+// set-up and do not grow with the stream length.
+func TestAllocsIndependentOfRequestsPerDrive(t *testing.T) {
+	run := func(requests int) float64 {
+		cfg := Config{
+			Topology:  Topology{Racks: 2, ChassisPerRack: 2, SlotsPerChassis: 8},
+			Workload:  Workload{RequestsPerDrive: requests, Seed: 5},
+			Placement: PlaceCoolest,
+			Migration: Migration{ThresholdC: 31, HysteresisC: 0.5},
+			Workers:   1,
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(context.Background(), cfg, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := run(40), run(400)
+	t.Logf("allocs per run: %v at 40 requests per drive, %v at 400", short, long)
+	if long > short+allocSlack {
+		t.Errorf("allocations grow with the stream: %v at 40 requests per drive, %v at 400", short, long)
+	}
+}

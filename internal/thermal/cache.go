@@ -8,14 +8,17 @@ import (
 	"repro/internal/units"
 )
 
-// Operating-point memoization. The DTM stream controllers advance a drive's
-// transient in 100 ms sub-steps, and every sub-step re-evaluates the five
-// convection couplings at the drive's current spindle speed — the identical
-// Reynolds/Nusselt arithmetic, thousands of times per run, at the handful of
-// RPM levels the policy actually uses. Likewise the sweep engines re-solve
-// SteadyState at a few recurring (RPM, duty, ambient) points. Both solves
-// are pure functions of the operating point (with fixed-property air), so
-// the model memoizes them.
+// Operating-point memoization. The DTM stream controllers and the fleet
+// advance a drive's transient in 100 ms steps at the handful of RPM levels
+// the policy actually uses, and the five convection couplings at a speed
+// are the identical Reynolds/Nusselt arithmetic every time. Likewise the
+// sweep engines re-solve SteadyState at a few recurring (RPM, duty,
+// ambient) points. Both solves are pure functions of the operating point
+// (with fixed-property air), so the model memoizes them. Each Transient
+// also keeps its current speed's couplings in a one-entry cache of its own
+// (operatingPoint, network.go) and consults the conductance memo here only
+// when its RPM changes, so the conductance counters count speed changes,
+// not steps.
 //
 // Keys are the operating point quantized to fixed-point buckets
 // (rpmQuantum / dutyQuantum / tempQuantum below). Quantization alone could
@@ -85,10 +88,15 @@ type modelCache struct {
 }
 
 // CacheStats reports the memo cache's hit/miss counters since the model was
-// built (or the last ResetCacheStats).
+// built (or the last ResetCacheStats). The conductance counters count
+// lookups in the model's memo, which a transient makes only when its
+// spindle speed changes (its own operating-point entry serves the steps in
+// between), plus one per steady solve that misses the steady memo; with
+// TemperatureDependentAir or NoCache conductances are not memoized and
+// they stay at zero.
 type CacheStats struct {
 	SteadyHits, SteadyMisses int64 // SteadyState solves
-	CondHits, CondMisses     int64 // conductance evaluations (transient sub-steps)
+	CondHits, CondMisses     int64 // conductance memo lookups (transient speed changes, steady misses)
 }
 
 // SteadyHitRate returns the steady-solve hit fraction (0 when never queried).

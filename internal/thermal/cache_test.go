@@ -51,42 +51,178 @@ func TestSteadyStateCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestTransientCacheEquivalence runs the same transient trajectory on a
-// cached and an uncached model: the conductance memoization must not
-// perturb a single sub-step.
-func TestTransientCacheEquivalence(t *testing.T) {
-	cached, err := New(ReferenceDrive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := New(ReferenceDrive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct.NoCache = true
+// transientSeg is one leg of a scripted transient trajectory: an Advance
+// for d, or (with until set) an AdvanceUntil that stops once the air
+// reaches until, within d.
+type transientSeg struct {
+	load  Load
+	d     time.Duration
+	until units.Celsius
+}
 
-	trC := cached.NewTransient(Uniform(DefaultAmbient))
-	trD := direct.NewTransient(Uniform(DefaultAmbient))
-	// Alternate between the handful of operating points a DTM controller
-	// visits: busy at speed, idle, throttled low speed.
-	loads := []Load{
-		{RPM: 15000, VCMDuty: 1, Ambient: DefaultAmbient},
-		{RPM: 15000, VCMDuty: 0, Ambient: DefaultAmbient},
-		{RPM: 9000, VCMDuty: 0, Ambient: DefaultAmbient},
-	}
-	for i := 0; i < 60; i++ {
-		load := loads[i%len(loads)]
-		trC.Advance(load, 750*time.Millisecond)
-		trD.Advance(load, 750*time.Millisecond)
-		if trC.State() != trD.State() {
-			t.Fatalf("step %d: cached %v != direct %v", i, trC.State(), trD.State())
+// transientScript is a trajectory that exercises everything the
+// transient's operating-point cache must get right: the speed switches
+// DRPM and Escalation make mid-run, duties outside [0, 1] (which the heat
+// inputs clamp), a fleet cooling-failure ambient step and back, short and
+// odd durations, AdvanceUntil both warming and cooling, and a speed whose
+// stability bound is below the 100 ms step.
+var transientScript = []transientSeg{
+	{load: Load{RPM: 15000, VCMDuty: 1, Ambient: DefaultAmbient}, d: 2 * time.Second},
+	{load: Load{RPM: 15000, VCMDuty: 1.7, Ambient: DefaultAmbient}, d: 750 * time.Millisecond},
+	{load: Load{RPM: 15000, VCMDuty: -0.4, Ambient: DefaultAmbient}, d: 750 * time.Millisecond},
+	{load: Load{RPM: 10000, VCMDuty: 0.5, Ambient: DefaultAmbient}, d: 1250 * time.Millisecond},
+	{load: Load{RPM: 10000, VCMDuty: 0.5, Ambient: DefaultAmbient + 5}, d: 2 * time.Second},
+	{load: Load{RPM: 15000, VCMDuty: 1, Ambient: DefaultAmbient + 5}, d: 37 * time.Millisecond},
+	{load: Load{RPM: 15000, VCMDuty: 3, Ambient: DefaultAmbient + 5}, d: 10 * time.Minute, until: DefaultAmbient + 2},
+	{load: Load{RPM: 12000, VCMDuty: 0, Ambient: DefaultAmbient}, d: 1234567 * time.Microsecond},
+	{load: Load{RPM: 12000, VCMDuty: -1, Ambient: DefaultAmbient}, d: 30 * time.Minute, until: DefaultAmbient + 1},
+	{load: Load{RPM: 9000, VCMDuty: 0.25, Ambient: DefaultAmbient - 3}, d: 5 * time.Second},
+	// Far past the roadmap's speeds the air node is fast enough that the
+	// explicit scheme sub-steps below 100 ms, so a stale stability bound
+	// would show.
+	{load: Load{RPM: 1e6, VCMDuty: 0.5, Ambient: DefaultAmbient}, d: 250 * time.Millisecond},
+	{load: Load{RPM: 15000, VCMDuty: 0.5, Ambient: DefaultAmbient}, d: 250 * time.Millisecond},
+}
+
+// playScript plays transientScript on tr, calling check after every leg.
+func playScript(t *testing.T, tr *Transient, clampDuty bool, check func(leg int, elapsed time.Duration, fired bool)) {
+	t.Helper()
+	for i, seg := range transientScript {
+		load := seg.load
+		if clampDuty {
+			load.VCMDuty = math.Max(0, math.Min(1, load.VCMDuty))
 		}
+		if seg.until == 0 {
+			tr.Advance(load, seg.d)
+			check(i, seg.d, false)
+			continue
+		}
+		warming := tr.State().Air < seg.until
+		elapsed, fired := tr.AdvanceUntil(load, seg.d, func(s State) bool {
+			if warming {
+				return s.Air >= seg.until
+			}
+			return s.Air <= seg.until
+		})
+		check(i, elapsed, fired)
 	}
-	stats := cached.CacheStats()
-	if rate := stats.CondHitRate(); rate < 0.9 {
-		t.Errorf("DTM-style trajectory should hit the conductance cache >90%%, got %.1f%% (%+v)",
-			rate*100, stats)
+}
+
+// TestTransientCacheEquivalence runs the same transient trajectories on a
+// cached and an uncached (NoCache) model: neither the per-transient
+// operating-point entry nor the model's conductance memo may perturb a
+// single sub-step. The state must be bit-equal after every leg, with
+// fixed-property and with film-temperature air.
+func TestTransientCacheEquivalence(t *testing.T) {
+	for _, filmAir := range []bool{false, true} {
+		name := "fixed-air"
+		if filmAir {
+			name = "film-air"
+		}
+		t.Run(name, func(t *testing.T) {
+			models := make([]*Model, 3)
+			for i := range models {
+				m, err := New(ReferenceDrive)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.TemperatureDependentAir = filmAir
+				models[i] = m
+			}
+			models[1].NoCache = true
+			cached, direct, clamped := models[0].NewTransient(Uniform(DefaultAmbient)),
+				models[1].NewTransient(Uniform(DefaultAmbient)),
+				models[2].NewTransient(Uniform(DefaultAmbient))
+
+			// The script twice over from the same start, so the second
+			// pass runs on a warm model memo and begins with the
+			// transient's entry left at another speed.
+			for pass := 0; pass < 2; pass++ {
+				for _, tr := range []*Transient{cached, direct, clamped} {
+					tr.SetState(Uniform(DefaultAmbient))
+				}
+				var got []State
+				var gotD []time.Duration
+				var gotFired []bool
+				playScript(t, cached, false, func(_ int, d time.Duration, fired bool) {
+					got, gotD, gotFired = append(got, cached.State()), append(gotD, d), append(gotFired, fired)
+				})
+				playScript(t, direct, false, func(i int, d time.Duration, fired bool) {
+					if st := direct.State(); st != got[i] || d != gotD[i] || fired != gotFired[i] {
+						t.Fatalf("pass %d leg %d: cached %v (%v, %v) != direct %v (%v, %v)",
+							pass, i, got[i], gotD[i], gotFired[i], st, d, fired)
+					}
+				})
+				playScript(t, clamped, true, func(i int, _ time.Duration, _ bool) {
+					if st := clamped.State(); st != got[i] {
+						t.Fatalf("pass %d leg %d: duty %v not clamped: %v != %v",
+							pass, i, transientScript[i].load.VCMDuty, got[i], st)
+					}
+				})
+				for i, seg := range transientScript {
+					if seg.until != 0 && !gotFired[i] {
+						t.Fatalf("pass %d leg %d: AdvanceUntil never reached %v", pass, i, seg.until)
+					}
+				}
+			}
+			if cached.Now() != direct.Now() {
+				t.Errorf("clocks diverged: %v != %v", cached.Now(), direct.Now())
+			}
+			if filmAir {
+				return
+			}
+			// With fixed-property air the transient consults the model's
+			// conductance memo only when the spindle speed changes: once
+			// per speed switch, not once per 100 ms step.
+			switches := 0
+			prev := units.RPM(-1)
+			for pass := 0; pass < 2; pass++ {
+				for _, seg := range transientScript {
+					if seg.load.RPM != prev {
+						switches++
+						prev = seg.load.RPM
+					}
+				}
+			}
+			stats := models[0].CacheStats()
+			if n := stats.CondHits + stats.CondMisses; n != int64(switches) {
+				t.Errorf("conductance lookups = %d, want one per speed switch (%d)", n, switches)
+			}
+		})
 	}
+
+	// The DTM duty cycle: busy at speed, idle, throttled low speed.
+	t.Run("dtm-cycle", func(t *testing.T) {
+		cached, err := New(ReferenceDrive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := New(ReferenceDrive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct.NoCache = true
+		trC := cached.NewTransient(Uniform(DefaultAmbient))
+		trD := direct.NewTransient(Uniform(DefaultAmbient))
+		loads := []Load{
+			{RPM: 15000, VCMDuty: 1, Ambient: DefaultAmbient},
+			{RPM: 15000, VCMDuty: 0, Ambient: DefaultAmbient},
+			{RPM: 9000, VCMDuty: 0, Ambient: DefaultAmbient},
+		}
+		for i := 0; i < 60; i++ {
+			load := loads[i%len(loads)]
+			trC.Advance(load, 750*time.Millisecond)
+			trD.Advance(load, 750*time.Millisecond)
+			if trC.State() != trD.State() {
+				t.Fatalf("step %d: cached %v != direct %v", i, trC.State(), trD.State())
+			}
+		}
+		stats := cached.CacheStats()
+		if rate := stats.CondHitRate(); rate < 0.9 {
+			t.Errorf("DTM-style trajectory should hit the conductance cache >90%%, got %.1f%% (%+v)",
+				rate*100, stats)
+		}
+	})
 }
 
 // TestCacheConcurrentReaders hammers one shared model from many goroutines

@@ -57,14 +57,19 @@ type Model struct {
 	// the paper; exposed for the ablation study.
 	TemperatureDependentAir bool
 
-	// NoCache disables the operating-point memoization (see cache.go) so
-	// every solve runs the full arithmetic — the reference the cache
-	// equivalence tests and benchmarks compare against.
+	// NoCache disables the operating-point memoization (see cache.go) and
+	// each transient's per-speed entry, so every solve and step runs the
+	// full arithmetic — the reference the cache equivalence tests and
+	// benchmarks compare against.
 	NoCache bool
 
 	// cache memoizes steady solves and conductance evaluations per exact
 	// operating point; see cache.go for the quantize-then-verify scheme.
 	cache modelCache
+
+	// vcmPower is VCMPower at the platter diameter, the full-duty coil
+	// power: a per-model constant, so it is evaluated once.
+	vcmPower units.Watts
 
 	// Precomputed geometry.
 	platterArea  float64 // m^2, air-washed stack area
@@ -98,6 +103,7 @@ func NewWithCalibration(d geometry.Drive, cal Calibration) (*Model, error) {
 		cal:        cal,
 		airPropsAt: 40,
 	}
+	m.vcmPower = VCMPower(d.PlatterDiameter)
 	m.platterArea = d.PlatterWettedArea()
 	m.actuatorArea = d.ActuatorWettedArea()
 	m.enclosureOut = d.EnclosureArea()
@@ -207,19 +213,33 @@ func (m *Model) conductancesAt(rpm units.RPM, film units.Celsius) conductances {
 // second-granularity throttling dynamics (Figure 7) could not exist.
 const VCMAirFraction = 0.7
 
-// heatInputs returns the source power into the air, spindle and actuator
-// nodes.
-func (m *Model) heatInputs(load Load) (pAir, pSpindle, pActuator units.Watts) {
-	duty := load.VCMDuty
+// spinLosses are the speed-dependent heat sources: platter windage into the
+// air and bearing loss into the spindle.
+type spinLosses struct {
+	windage, bearing units.Watts
+}
+
+// spinLosses evaluates the windage and bearing laws at a spindle speed.
+func (m *Model) spinLosses(rpm units.RPM) spinLosses {
+	return spinLosses{
+		windage: ViscousDissipation(rpm, m.drive.PlatterDiameter, m.drive.Platters),
+		bearing: BearingLoss(rpm, m.drive.PlatterDiameter),
+	}
+}
+
+// dutyInputs returns the source power into the air, spindle and actuator
+// nodes: the voice-coil power at a duty (clamped to [0, 1]) on top of the
+// speed-dependent losses. It is the one heat-input formula both the steady
+// solve and the transient step use.
+func (m *Model) dutyInputs(l spinLosses, duty float64) (pAir, pSpindle, pActuator units.Watts) {
 	if duty < 0 {
 		duty = 0
 	} else if duty > 1 {
 		duty = 1
 	}
-	vcm := duty * float64(VCMPower(m.drive.PlatterDiameter))
-	pAir = ViscousDissipation(load.RPM, m.drive.PlatterDiameter, m.drive.Platters) +
-		units.Watts(VCMAirFraction*vcm)
-	return pAir, BearingLoss(load.RPM, m.drive.PlatterDiameter), units.Watts((1 - VCMAirFraction) * vcm)
+	vcm := duty * float64(m.vcmPower)
+	pAir = l.windage + units.Watts(VCMAirFraction*vcm)
+	return pAir, l.bearing, units.Watts((1 - VCMAirFraction) * vcm)
 }
 
 // SteadyState solves the network for the equilibrium temperatures under a
@@ -252,7 +272,7 @@ func (m *Model) steadyDirect(load Load) State {
 // Node order: air, spindle, base, actuator.
 func (m *Model) solveLinear(load Load, film units.Celsius) State {
 	g := m.condCached(load.RPM, film)
-	pAir, pSpm, pAct := m.heatInputs(load)
+	pAir, pSpm, pAct := m.dutyInputs(m.spinLosses(load.RPM), load.VCMDuty)
 	amb := float64(load.Ambient)
 
 	// A*T = b
@@ -370,6 +390,23 @@ type Transient struct {
 	m     *Model
 	state State
 	now   time.Duration
+
+	// op caches everything a step derives from the spindle speed alone.
+	// Callers hold a speed for many consecutive steps and change only the
+	// duty and ambient, so the entry is refreshed only when load.RPM
+	// changes; with fixed-property air it is exactly what the per-step
+	// evaluation would produce.
+	op operatingPoint
+}
+
+// operatingPoint is a transient's one-entry cache: the speed-dependent heat
+// sources, couplings and stability bound at one exact spindle speed.
+type operatingPoint struct {
+	valid  bool
+	rpm    units.RPM
+	losses spinLosses
+	g      conductances
+	stable float64 // explicit-scheme sub-step bound, seconds
 }
 
 // NewTransient starts a transient simulation from an initial state.
@@ -420,18 +457,17 @@ func (t *Transient) AdvanceUntil(load Load, limit time.Duration, cond func(State
 // the time actually advanced (== maxDT).
 func (t *Transient) step(load Load, maxDT float64) float64 {
 	m := t.m
-	film := (t.state.Air + load.Ambient) / 2
-	g := m.condCached(load.RPM, film)
-	pAir, pSpm, pAct := m.heatInputs(load)
+	// With film-temperature air the couplings track the state, and NoCache
+	// asks for the uncached reference: both re-derive every step.
+	perStep := m.TemperatureDependentAir || m.NoCache
+	if perStep || !t.op.valid || t.op.rpm != load.RPM {
+		film := (t.state.Air + load.Ambient) / 2
+		t.op = m.operatingPointAt(load.RPM, film)
+		t.op.valid = !perStep
+	}
+	g, stable := t.op.g, t.op.stable
+	pAir, pSpm, pAct := m.dutyInputs(t.op.losses, load.VCMDuty)
 	amb := float64(load.Ambient)
-
-	// Stability bound: dt < C_i / sum(G_i) for every node; use half.
-	stable := math.Min(
-		math.Min(m.cAir/(g.spindleAir+g.actuatorAir+g.airBase),
-			m.cSpindle/(g.spindleAir+g.spindleBase)),
-		math.Min(m.cBase/(g.airBase+g.spindleBase+g.actuatorBase+g.baseAmbient),
-			m.cActuator/(g.actuatorAir+g.actuatorBase)),
-	) * 0.5
 
 	remaining := maxDT
 	for remaining > 1e-12 {
@@ -451,6 +487,20 @@ func (t *Transient) step(load Load, maxDT float64) float64 {
 		remaining -= dt
 	}
 	return maxDT
+}
+
+// operatingPointAt evaluates the speed-dependent part of a step. film only
+// matters with TemperatureDependentAir.
+func (m *Model) operatingPointAt(rpm units.RPM, film units.Celsius) operatingPoint {
+	g := m.condCached(rpm, film)
+	// Stability bound: dt < C_i / sum(G_i) for every node; use half.
+	stable := math.Min(
+		math.Min(m.cAir/(g.spindleAir+g.actuatorAir+g.airBase),
+			m.cSpindle/(g.spindleAir+g.spindleBase)),
+		math.Min(m.cBase/(g.airBase+g.spindleBase+g.actuatorBase+g.baseAmbient),
+			m.cActuator/(g.actuatorAir+g.actuatorBase)),
+	) * 0.5
+	return operatingPoint{rpm: rpm, losses: m.spinLosses(rpm), g: g, stable: stable}
 }
 
 // MaxRPM finds the highest spindle speed whose steady internal-air
