@@ -74,3 +74,30 @@ func TestJobGoldenParity(t *testing.T) {
 		}
 	}
 }
+
+// raidJobDigests are the sha256 digests of two raid job bodies run through
+// RunSpec: a RAID-5 reconstruction with a rebuild onto the spare, and a
+// JBOD that loses the requests touching its failed member (the
+// ErrDataLoss count-and-continue path).
+var raidJobDigests = []struct{ spec, digest string }{
+	{`{"type":"raid","raid":{"workload":"TPC-C","requests":2000,"fail_disk":1,"fail_at_ms":200,"spare":true,"sample_every":250}}`,
+		"99cbdfa6bb931407cdfbceb5e84db6e2ca259d9872a39ec50a268840eaa441a5"},
+	{`{"type":"raid","raid":{"workload":"Search-Engine","requests":2000,"fail_disk":2,"fail_at_ms":300,"sample_every":250}}`,
+		"f6591795c02c5fc742876c1a3205973e0495dc1399b15bc98aff049744c31faa"},
+}
+
+// TestRAIDJobDigests pins the degraded-RAID replay's job bodies bit for
+// bit, so the recovery runner's admission, join and loss accounting cannot
+// drift unnoticed.
+func TestRAIDJobDigests(t *testing.T) {
+	for _, tc := range raidJobDigests {
+		var body bytes.Buffer
+		if err := RunSpec(context.Background(), decodeSpec(t, tc.spec), &body); err != nil {
+			t.Fatalf("RunSpec %s: %v", tc.spec, err)
+		}
+		sum := sha256.Sum256(body.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.digest {
+			t.Errorf("raid body digest %s, want %s for %s:\n%s", got, tc.digest, tc.spec, body.String())
+		}
+	}
+}
