@@ -138,10 +138,10 @@ func (c Figure4Config) stepsFor(w trace.Params) []units.RPM {
 // engine without changing a bit of the output.
 //
 // MeanMillis, the CDF and CacheHitFraction are the same bits with or
-// without ExactP95. ctx is checked at every request admission and every
-// step boundary; a cancelled sweep returns ctx.Err(). Span output nests
-// per-workload and per-step sub-tracers merged in input order, so it too
-// is independent of the worker count.
+// without ExactP95. ctx is bound to every step's engine and checked at
+// every step boundary; a cancelled sweep's error wraps ctx.Err(). Span
+// output nests per-workload and per-step sub-tracers merged in input
+// order, so it too is independent of the worker count.
 func Figure4(ctx context.Context, workloads []trace.Params, cfg Figure4Config) ([]WorkloadResult, error) {
 	em := emitter{sink: cfg.OnStep}
 	base := make([]int, len(workloads))
@@ -222,9 +222,8 @@ func (e *emitter) done(i int, s RPMStep) {
 }
 
 // figure4Step runs one RPM cell: its own volume, its own engine, its own
-// lazy re-streaming of the seeded trace. The source is gated on ctx, so a
-// cancelled sweep stops at the next request admission; the gate is one
-// nil-error check per request when ctx never cancels.
+// lazy re-streaming of the seeded trace. ctx is bound to the engine, so a
+// cancelled sweep stops at the cell's next event.
 func (c Figure4Config) figure4Step(ctx context.Context, p trace.Params, rpm units.RPM, tracer *obs.Tracer) (RPMStep, error) {
 	vol, err := p.BuildVolume(rpm)
 	if err != nil {
@@ -236,6 +235,7 @@ func (c Figure4Config) figure4Step(ctx context.Context, p trace.Params, rpm unit
 	}
 
 	eng := sim.NewEngine()
+	eng.SetContext(ctx)
 	if c.Obs.Registry != nil {
 		vol.Instrument(c.Obs.Registry,
 			"workload", p.Name, "rpm", strconv.Itoa(int(rpm)))
@@ -253,7 +253,7 @@ func (c Figure4Config) figure4Step(ctx context.Context, p trace.Params, rpm unit
 		addP95, p95 = all.Add, func() float64 { return all.Percentile(95) }
 	}
 	var hits, subs int
-	err = vol.RunStream(eng, sim.Gate(ctx, src),
+	err = vol.RunStream(eng, src,
 		sim.SinkFunc[raid.Completion](func(comp raid.Completion) {
 			r := comp.Response()
 			mean.Add(r)
@@ -264,11 +264,6 @@ func (c Figure4Config) figure4Step(ctx context.Context, p trace.Params, rpm unit
 		}))
 	if err != nil {
 		return RPMStep{}, fmt.Errorf("core: %s at %v: %w", p.Name, rpm, err)
-	}
-	// A gated-off source ends the run cleanly with partial statistics;
-	// surface the cancellation instead of a wrong-looking step.
-	if err := ctx.Err(); err != nil {
-		return RPMStep{}, err
 	}
 
 	step := RPMStep{

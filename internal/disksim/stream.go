@@ -1,7 +1,6 @@
 package disksim
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -10,71 +9,36 @@ import (
 
 // RunStream drives the disk from a lazily-yielded FCFS request stream on an
 // event engine: each request is admitted as an arrival event, serviced via
-// Serve (all FaultInjector hooks intact), and its completion pushed to sink;
-// only then is the next request pulled, so memory stays O(1) in trace
+// ServeInto (all FaultInjector hooks intact), and its completion pushed to
+// sink; only then is the next request pulled, so memory stays O(1) in trace
 // length. The source must yield requests in nondecreasing arrival order —
 // the order Simulate establishes by sorting and the trace generators emit
-// natively.
+// natively; an out-of-order arrival fails the run with sim.ErrOutOfOrder.
+// A disk configured with a reordering scheduler is refused: only Simulate
+// holds the pending set those disciplines pick from.
 //
 // RunStream schedules onto eng and runs it to completion. Passing a shared
 // engine interleaves this disk's admissions with other processes (thermal
-// sample ticks, other disks) on one deterministic clock.
+// sample ticks, other disks) on one deterministic clock; a context bound
+// with eng.SetContext cancels the run at its next event.
 func (d *Disk) RunStream(eng *sim.Engine, src sim.Source[Request], sink sim.Sink[Completion]) error {
+	if d.cfg.Scheduler != FCFS {
+		return fmt.Errorf("disksim: RunStream serves FCFS; the %v scheduler runs only through Simulate", d.cfg.Scheduler)
+	}
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
-	s := &diskStream{d: d, src: src, sink: sink}
-	s.fire = s.serve // one event closure for the whole run, not one per request
-	s.admit(eng)
-	if err := eng.Run(); err != nil {
-		return err
-	}
-	return s.failed
-}
-
-// diskStream is RunStream's admission state: one struct and one pre-bound
-// event closure for the whole run. Only one admission is outstanding at a
-// time, so the single in-flight request slot suffices and the per-request
-// path allocates nothing.
-type diskStream struct {
-	d      *Disk
-	src    sim.Source[Request]
-	sink   sim.Sink[Completion]
-	r      Request // the in-flight request, valid between admit and serve
-	failed error
-	fire   func(*sim.Engine)
-}
-
-func (s *diskStream) admit(e *sim.Engine) {
-	r, ok := s.src.Next()
-	if !ok {
-		return
-	}
-	s.r = r
-	e.At(r.Arrival, s.fire)
-}
-
-func (s *diskStream) serve(e *sim.Engine) {
-	var c Completion
-	if err := s.d.ServeInto(&c, s.r); err != nil {
-		s.failed = err
-		e.Fail(err)
-		return
-	}
-	recordSpan(e.Tracer(), &c)
-	s.sink.Push(c)
-	s.admit(e)
-}
-
-// RunStreamCtx is RunStream with cooperative cancellation: the source is
-// gated on ctx (checked at every admission) and a cancelled run reports
-// ctx.Err() instead of a partial-looking success, matching the other
-// streaming runners' contract for the serving layer.
-func (d *Disk) RunStreamCtx(ctx context.Context, eng *sim.Engine, src sim.Source[Request], sink sim.Sink[Completion]) error {
-	if err := d.RunStream(eng, sim.Gate(ctx, src), sink); err != nil {
-		return err
-	}
-	return ctx.Err()
+	sim.Chain(eng, src, func(r Request) time.Duration { return r.Arrival }, func(e *sim.Engine, r Request) bool {
+		var c Completion
+		if err := d.ServeInto(&c, r); err != nil {
+			e.Fail(err)
+			return false
+		}
+		recordSpan(e.Tracer(), &c)
+		sink.Push(c)
+		return true
+	}, nil)
+	return eng.Run()
 }
 
 // Simulate services a batch of requests under the configured scheduler and
@@ -105,25 +69,6 @@ func sortedByArrival(reqs []Request) []Request {
 	copy(sorted, reqs)
 	stableSortByArrival(sorted)
 	return sorted
-}
-
-// ReadySource adapts a request source so each yielded request's arrival is
-// clamped to at least the previous yield — a guard for hand-built sources
-// that are only approximately sorted. Exactly-sorted sources pass through
-// untouched.
-func ReadySource(src sim.Source[Request]) sim.Source[Request] {
-	var floor time.Duration
-	return sim.SourceFunc[Request](func() (Request, bool) {
-		r, ok := src.Next()
-		if !ok {
-			return r, false
-		}
-		if r.Arrival < floor {
-			r.Arrival = floor
-		}
-		floor = r.Arrival
-		return r, true
-	})
 }
 
 // StreamStats is a Sink that summarises completions without retaining them:

@@ -80,8 +80,9 @@ type PolicySummary struct {
 }
 
 // Run executes the scenario on eng (nil = a fresh engine), pushing every
-// completion to sink (nil = discard). The run ends early with ctx.Err()
-// once ctx is done. Equal fields give an equal summary, bit for bit.
+// completion to sink (nil = discard). ctx is bound to the engine, so the
+// run ends at its next event with ctx.Err() once ctx is done. Equal fields
+// give an equal summary, bit for bit.
 func (r PolicyRun) Run(ctx context.Context, eng *sim.Engine, sink sim.Sink[disksim.Completion]) (PolicySummary, error) {
 	if !slices.Contains(Policies, r.Policy) {
 		return PolicySummary{}, fmt.Errorf("dtm: unknown policy %q", r.Policy)
@@ -118,6 +119,10 @@ func (r PolicyRun) Run(ctx context.Context, eng *sim.Engine, sink sim.Sink[disks
 	if sink == nil {
 		sink = sim.Discard[disksim.Completion]()
 	}
+	if eng == nil {
+		eng = sim.NewEngine()
+	}
+	eng.SetContext(ctx)
 	sum := PolicySummary{Policy: r.Policy}
 	var mean stats.Running
 	counted := sim.SinkFunc[disksim.Completion](func(c disksim.Completion) {
@@ -129,26 +134,26 @@ func (r PolicyRun) Run(ctx context.Context, eng *sim.Engine, sink sim.Sink[disks
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	switch r.Policy {
 	case "envelope":
-		err = disk.RunStreamCtx(ctx, eng, src, counted)
+		err = disk.RunStream(eng, src, counted)
 		sum.MeanMS = mean.Mean()
 	case "watermark":
 		ctl := Controller{Disk: disk, Thermal: th, Mode: VCMOnly, Ins: ins}
 		var res Result
-		res, err = RunStreamCtx(ctx, ctl.RunStream, eng, src, counted)
+		res, err = ctl.RunStream(eng, src, counted)
 		sum.MeanMS, sum.P95MS = res.MeanResponseMillis, res.P95ResponseMillis
 		sum.MaxAirTempC, sum.ElapsedSimMS = float64(res.MaxAirTemp), ms(res.Elapsed)
 		sum.ThrottleEvents, sum.ThrottledSimMS = res.ThrottleEvents, ms(res.ThrottledTime)
 	case "slack-ramp":
 		ramp := SlackRamp{Disk: disk, Thermal: th, BoostRPM: AverageCaseRPM, Faults: r.Faults, Ins: ins}
 		var res RampResult
-		res, err = RunStreamCtx(ctx, ramp.RunStream, eng, src, counted)
+		res, err = ramp.RunStream(eng, src, counted)
 		sum.MeanMS, sum.MaxAirTempC, sum.ElapsedSimMS = res.MeanResponseMillis, float64(res.MaxAirTemp), ms(res.Elapsed)
 		sum.Transitions, sum.BoostedSimMS = res.Transitions, ms(res.BoostedTime)
 		sum.Retries, sum.Remaps, sum.DiskFailed, sum.FailedAt = res.Retries, res.Remaps, res.DiskFailed, res.FailedAt
 	case "drpm":
 		pol := DRPM{Disk: disk, Thermal: th, Levels: []units.RPM{EnvelopeRPM, 18000, 21000, AverageCaseRPM}, Ins: ins}
 		var res DRPMResult
-		res, err = RunStreamCtx(ctx, pol.RunStream, eng, src, counted)
+		res, err = pol.RunStream(eng, src, counted)
 		sum.MeanMS, sum.P95MS = res.MeanResponseMillis, res.P95ResponseMillis
 		sum.MaxAirTempC, sum.ElapsedSimMS, sum.Transitions = float64(res.MaxAirTemp), ms(res.Elapsed), res.Transitions
 	case "escalation":
@@ -156,7 +161,7 @@ func (r PolicyRun) Run(ctx context.Context, eng *sim.Engine, sink sim.Sink[disks
 		esc := Escalation{Disk: disk, Thermal: th, Levels: []units.RPM{AverageCaseRPM, 21000, 18000, EnvelopeRPM},
 			Initial: &hot, Faults: r.Faults, Ins: ins}
 		var res EscalationResult
-		res, err = RunStreamCtx(ctx, esc.RunStream, eng, src, counted)
+		res, err = esc.RunStream(eng, src, counted)
 		sum.MeanMS, sum.P95MS = res.MeanResponseMillis, res.P95ResponseMillis
 		sum.MaxAirTempC, sum.ElapsedSimMS = float64(res.MaxAirTemp), ms(res.Elapsed)
 		sum.StepDowns, sum.ThrottleEvents, sum.ThrottledSimMS = res.StepDowns, res.Throttles, ms(res.ThrottledTime)

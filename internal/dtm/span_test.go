@@ -88,15 +88,17 @@ func errOnly[R any](run streamFunc[R]) runErr {
 	}
 }
 
-// TestRunStreamCtx checks the shared cancellation wrapper: a live context
-// leaves the controller's result untouched, a cancelled one reports
-// ctx.Err() and a zero result.
+// TestRunStreamCtx checks a controller run under a context bound to its
+// engine: a live context leaves the result untouched, a cancelled one
+// reports ctx.Err() and a zero result.
 func TestRunStreamCtx(t *testing.T) {
 	run := func(ctx context.Context) (Result, error) {
 		disk, th := buildDTMDisk(t, 24534)
 		reqs := dtmWorkload(t, disk.Layout().TotalSectors(), 300, 120)
 		ctl := Controller{Disk: disk, Thermal: th}
-		return RunStreamCtx(ctx, ctl.RunStream, sim.NewEngine(), sim.FromSlice(reqs), sim.Discard[disksim.Completion]())
+		eng := sim.NewEngine()
+		eng.SetContext(ctx)
+		return ctl.RunStream(eng, sim.FromSlice(reqs), sim.Discard[disksim.Completion]())
 	}
 	live, err := run(context.Background())
 	if err != nil {

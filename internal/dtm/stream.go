@@ -9,16 +9,15 @@
 // owns the transient, the clock, the temperature bookkeeping, the response
 // statistics, fault binding, the sample tick and the request chain; a
 // controller contributes only its validation, a decision hook the kernel
-// calls before each service, and its result counters. RunStreamCtx adds
-// cooperative cancellation to any controller's RunStream, and the batch Run
-// wrappers share runBatch, which collects every completion and replaces
-// the streaming P² 95th percentile with the exact order statistic. The
-// streaming mean uses stats.Running, which reproduces Sample's mean
-// bit-for-bit (same additions, same order).
+// calls before each service, and its result counters. A context bound with
+// Engine.SetContext cancels any controller's run at its next event, and
+// the batch Run wrappers share runBatch, which collects every completion
+// and replaces the streaming P² 95th percentile with the exact order
+// statistic. The streaming mean uses stats.Running, which reproduces
+// Sample's mean bit-for-bit (same additions, same order).
 package dtm
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -80,6 +79,9 @@ type streamFunc[R any] func(*sim.Engine, sim.Source[disksim.Request], sim.Sink[d
 // decide is the controller's hook, called after the idle advance and
 // before Disk.Serve. A decision error fails the run.
 func (k *kernel) run(eng *sim.Engine, src sim.Source[disksim.Request], sink sim.Sink[disksim.Completion], decide func() error) error {
+	if s := k.disk.Scheduler(); s != disksim.FCFS {
+		return fmt.Errorf("dtm: controllers serve FCFS; the disk's %v scheduler runs only through Disk.Simulate", s)
+	}
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
@@ -102,13 +104,7 @@ func (k *kernel) run(eng *sim.Engine, src sim.Source[disksim.Request], sink sim.
 		defer k.disk.SetFaults(nil)
 	}
 
-	var failed error
 	done := false
-	fail := func(e *sim.Engine, err error) bool {
-		failed = err
-		e.Fail(err)
-		return false
-	}
 	serve := func(e *sim.Engine, r disksim.Request) bool {
 		start := r.Arrival
 		if rt := k.disk.ReadyTime(); rt > start {
@@ -118,7 +114,8 @@ func (k *kernel) run(eng *sim.Engine, src sim.Source[disksim.Request], sink sim.
 		k.advance(start, 0)
 		k.note()
 		if err := decide(); err != nil {
-			return fail(e, err)
+			e.Fail(err)
+			return false
 		}
 		if err := k.disk.ServeInto(&k.comp, r); err != nil {
 			if k.graceful && errors.Is(err, disksim.ErrDiskFailed) {
@@ -127,7 +124,8 @@ func (k *kernel) run(eng *sim.Engine, src sim.Source[disksim.Request], sink sim.
 				done = true
 				return false
 			}
-			return fail(e, err)
+			e.Fail(err)
+			return false
 		}
 		duty := 1.0
 		if k.duty != nil {
@@ -158,10 +156,7 @@ func (k *kernel) run(eng *sim.Engine, src sim.Source[disksim.Request], sink sim.
 		}
 		return r.Arrival
 	}, serve, func() { done = true })
-	if err := eng.Run(); err != nil {
-		return err
-	}
-	return failed
+	return eng.Run()
 }
 
 // load is the thermal operating point at the disk's current spindle speed.
@@ -230,27 +225,6 @@ func (k *kernel) summary() (mean, p95 float64, maxAir units.Celsius, elapsed tim
 		elapsed = k.lastFinish - k.firstArrival
 	}
 	return k.mean.Mean(), k.p95.Value(), k.maxT, elapsed
-}
-
-// RunStreamCtx runs a controller's RunStream with cooperative cancellation:
-// the source is gated on ctx, so the run ends at the next admission once
-// ctx is done, and ctx.Err() is reported instead of a partial-looking
-// result. run is the controller's RunStream method value, e.g.
-//
-//	res, err := dtm.RunStreamCtx(ctx, ctl.RunStream, eng, src, sink)
-//
-// With a never-cancelled context this is RunStream plus one nil-error check
-// per request, so seeded runs stay bit-identical.
-func RunStreamCtx[R any](ctx context.Context, run streamFunc[R], eng *sim.Engine, src sim.Source[disksim.Request], sink sim.Sink[disksim.Completion]) (R, error) {
-	res, err := run(eng, sim.Gate(ctx, src), sink)
-	if err == nil {
-		err = ctx.Err()
-	}
-	if err != nil {
-		var zero R
-		return zero, err
-	}
-	return res, nil
 }
 
 // batch is what a batch Run wrapper reports on top of its RunStream result:

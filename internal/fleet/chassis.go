@@ -36,9 +36,6 @@ const (
 	// as dtm.SyntheticSource.
 	requestSectors = 8
 	writeFraction  = 0.3
-
-	// cancelStride is how many completions pass between context checks.
-	cancelStride = 256
 )
 
 // chassisResult is one shard's contribution to the fleet aggregates.
@@ -182,18 +179,9 @@ func runChassis(ctx context.Context, cfg Config, env chassisEnv, streamOn []int,
 	}
 
 	eng := sim.NewEngine()
-	var failed error
-	var served int64
+	eng.SetContext(ctx)
 
 	serve := func(e *sim.Engine, d *fleetDrive, r disksim.Request) bool {
-		served++
-		if served%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				failed = err
-				e.Fail(err)
-				return false
-			}
-		}
 		start := r.Arrival
 		if rt := d.disk.ReadyTime(); rt > start {
 			start = rt
@@ -214,7 +202,6 @@ func runChassis(ctx context.Context, cfg Config, env chassisEnv, streamOn []int,
 
 		comp, err := d.disk.Serve(r)
 		if err != nil {
-			failed = err
 			e.Fail(err)
 			return false
 		}
@@ -307,9 +294,6 @@ func runChassis(ctx context.Context, cfg Config, env chassisEnv, streamOn []int,
 
 	if err := eng.Run(); err != nil {
 		return nil, err
-	}
-	if failed != nil {
-		return nil, failed
 	}
 
 	// Drain every drive's transient to the chassis' end of time so idle

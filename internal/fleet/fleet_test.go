@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/scaling"
 	"repro/internal/thermal"
 	"repro/internal/units"
 )
@@ -252,6 +254,55 @@ func TestGenerationsSharedAndDistinct(t *testing.T) {
 	}
 	if gens[0].Dissipation <= 0 || gens[0].RPM <= 0 {
 		t.Fatal("degenerate generation")
+	}
+}
+
+// TestGenerationsMatchRoadmapCell: a generation's own envelope search
+// gives bit for bit the speed of the single-platter scaling.Roadmap cell
+// for its year, which grants one platter no cooling budget.
+func TestGenerationsMatchRoadmapCell(t *testing.T) {
+	gens, err := generations([]int{2003, 2009})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range gens {
+		pts, err := scaling.Roadmap(scaling.Config{FirstYear: g.Year, LastYear: g.Year,
+			PlatterSizes: []units.Inches{2.6}, Platters: 1, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := pts[0]
+		if g.RPM != p.MaxRPM {
+			t.Errorf("%d: rpm %v, roadmap cell %v", g.Year, g.RPM, p.MaxRPM)
+		}
+	}
+}
+
+// TestRunCancelled: a context done before the run ends it with ctx.Err()
+// and no rack line; a chassis whose engine carries a done context stops
+// before its first event.
+func TestRunCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := testConfig()
+	racks := 0
+	if _, err := Run(ctx, cfg, func(RackSummary) error { racks++; return nil }); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run err = %v, want context.Canceled", err)
+	}
+	if racks != 0 {
+		t.Errorf("%d rack lines emitted by a cancelled run", racks)
+	}
+
+	cfg = cfg.withDefaults()
+	gens, err := generations(cfg.GenYears)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := buildEnvs(cfg, gens)
+	streams := buildStreams(cfg.Workload, cfg.Topology.Drives())
+	streamOn := place(cfg.Placement, streams, designAmbients(envs, cfg.Topology.Drives()))
+	if _, err := runChassis(ctx, cfg, envs[0], streamOn, streams); !errors.Is(err, context.Canceled) {
+		t.Errorf("runChassis err = %v, want context.Canceled", err)
 	}
 }
 

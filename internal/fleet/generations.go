@@ -14,11 +14,11 @@ import (
 // requests over the same layout resolution.
 const genZones = 50
 
-// Generation is one drive model drawn from the scaling roadmap engine: the
-// year's projected densities on the reference 2.6" single-platter
-// mechanism, spinning at that year's thermal-envelope speed. Fleets mix
-// generations round-robin across slots, the way real datacenters
-// accumulate hardware over procurement cycles.
+// Generation is one drive model on the scaling roadmap: the year's
+// projected densities (scaling.DefaultTrend) on the reference 2.6"
+// single-platter mechanism, spinning at that year's thermal-envelope
+// speed. Fleets mix generations round-robin across slots, the way real
+// datacenters accumulate hardware over procurement cycles.
 type Generation struct {
 	Year int
 
@@ -55,24 +55,9 @@ func generations(years []int) ([]*Generation, error) {
 			out[i] = g
 			continue
 		}
-		pts, err := scaling.Roadmap(scaling.Config{
-			FirstYear:    y,
-			LastYear:     y,
-			PlatterSizes: []units.Inches{2.6},
-			Platters:     1,
-			Workers:      1,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fleet: generation %d: %w", y, err)
-		}
-		p := pts[0]
-		geom := geometry.Drive{PlatterDiameter: p.Size, Platters: p.Platters}
-		layout, err := capacity.New(capacity.Config{
-			Geometry: geom,
-			BPI:      p.BPI,
-			TPI:      p.TPI,
-			Zones:    genZones,
-		})
+		geom := geometry.Drive{PlatterDiameter: 2.6, Platters: 1}
+		bpi, tpi := scaling.DefaultTrend().Densities(y)
+		layout, err := capacity.New(capacity.Config{Geometry: geom, BPI: bpi, TPI: tpi, Zones: genZones})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: generation %d: %w", y, err)
 		}
@@ -80,15 +65,18 @@ func generations(years []int) ([]*Generation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: generation %d: %w", y, err)
 		}
-		diss := thermal.ViscousDissipation(p.MaxRPM, geom.PlatterDiameter, geom.Platters) +
-			thermal.BearingLoss(p.MaxRPM, geom.PlatterDiameter) +
+		// A single-platter stack gets no cooling budget, so its envelope
+		// speed is the full-duty search at the default ambient.
+		rpm := th.MaxRPM(thermal.Envelope, 1, thermal.DefaultAmbient)
+		diss := thermal.ViscousDissipation(rpm, geom.PlatterDiameter, geom.Platters) +
+			thermal.BearingLoss(rpm, geom.PlatterDiameter) +
 			thermal.VCMPower(geom.PlatterDiameter)
 		g := &Generation{
 			Year:         y,
 			Geom:         geom,
 			Layout:       layout,
 			Thermal:      th,
-			RPM:          p.MaxRPM,
+			RPM:          rpm,
 			TotalSectors: layout.TotalSectors(),
 			Dissipation:  diss,
 		}

@@ -389,7 +389,7 @@ func (v *Volume) SimulateBatch(reqs []Request) ([]Completion, error) {
 		}
 		for _, c := range comps {
 			p := parents[c.Request.ID]
-			// Same slowest-sub rule as Volume.Serve: max finish, ties to
+			// Same slowest-sub rule as Volume.join: max finish, ties to
 			// the lowest member index (this scan ascends members, so a
 			// strictly-greater test keeps the first).
 			if p.slowest < 0 || c.Finish > p.finish {

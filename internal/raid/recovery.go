@@ -10,7 +10,6 @@
 package raid
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -426,44 +425,22 @@ func (s *RecoverySession) Serve(r Request) (Completion, error) {
 			Reconstructed: ds.xorSectors,
 			Exposed:       ds.exposed && r.Write,
 		}
-		var finish time.Duration
-		failed := -1
-		c.SlowestDisk = -1
-		comp := &s.v.subDone
-		for _, sb := range ds.subs {
-			if err := s.v.disks[sb.disk].ServeInto(comp, sb.req); err != nil {
-				if errors.Is(err, disksim.ErrDiskFailed) {
-					failed = sb.disk
-					break
-				}
-				return Completion{}, err
-			}
-			// Same slowest-sub rule as Volume.Serve: max finish, ties to
-			// the lowest member index.
-			if c.SlowestDisk < 0 || comp.Finish > finish ||
-				(comp.Finish == finish && sb.disk < c.SlowestDisk) {
-				finish = comp.Finish
-				c.Parts = comp.Parts
-				c.SlowestDisk = sb.disk
-			}
-			if comp.CacheHit {
-				c.CacheHits++
-			}
-		}
-		if failed >= 0 {
-			at := s.v.disks[failed].FailedAt()
-			if err := s.noteFailure(failed, at); err != nil {
+		failed, err := s.v.join(&c, ds.subs)
+		if errors.Is(err, disksim.ErrDiskFailed) {
+			if err := s.noteFailure(failed, s.v.disks[failed].FailedAt()); err != nil {
 				return Completion{}, err
 			}
 			continue // re-issue against the survivors
 		}
+		if err != nil {
+			return Completion{}, err
+		}
 		if ds.xorSectors > 0 {
-			finish += time.Duration(ds.xorSectors) * s.cfg.xorPerSector()
+			c.Finish += time.Duration(ds.xorSectors) * s.cfg.xorPerSector()
 		}
 		if s.v.writeBack > 0 && r.Write {
-			finish = r.Arrival + s.v.writeBack
+			c.Finish = r.Arrival + s.v.writeBack
 		}
-		c.Finish = finish
 		if ds.degraded {
 			s.report.Degraded++
 		}
@@ -487,14 +464,38 @@ func (s *RecoverySession) Serve(r Request) (Completion, error) {
 // pushing each completion to sink as it happens. Requests whose data is
 // unrecoverable (ErrDataLoss on a non-redundant level) are counted as lost
 // and skipped, matching Run; any other error aborts the engine. The source
-// must yield requests in nondecreasing arrival order.
+// must yield requests in nondecreasing arrival order (sim.ErrOutOfOrder
+// otherwise), and members and spares must serve FCFS.
 func (s *RecoverySession) RunStream(eng *sim.Engine, src sim.Source[Request], sink sim.Sink[Completion]) error {
+	if err := fcfsOnly("member", s.v.disks); err != nil {
+		return err
+	}
+	if err := fcfsOnly("spare", s.spares); err != nil {
+		return err
+	}
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
-	rs := &recoveryStream{s: s, src: src, sink: sink}
-	rs.fire = rs.serve // one event closure for the whole run, not one per request
-	rs.admit(eng)
+	sim.Chain(eng, src, arrival, func(e *sim.Engine, r Request) bool {
+		c, err := s.Serve(r)
+		if errors.Is(err, ErrDataLoss) {
+			// Non-redundant level with a dead member: the request's data is
+			// gone, but the replay goes on — the report counts the
+			// casualties instead of aborting at the first one.
+			s.report.LostRequests++
+			if s.v.ins != nil {
+				s.v.ins.lostRequests.Inc()
+			}
+			return true
+		}
+		if err != nil {
+			e.Fail(err)
+			return false
+		}
+		recordSpan(e.Tracer(), &c)
+		sink.Push(c)
+		return true
+	}, nil)
 	if err := eng.Run(); err != nil {
 		return err
 	}
@@ -508,61 +509,7 @@ func (s *RecoverySession) RunStream(eng *sim.Engine, src sim.Source[Request], si
 		}
 		s.advanceRebuilds(last)
 	}
-	return rs.failed
-}
-
-// recoveryStream is RecoverySession.RunStream's admission state, the same
-// one-struct/one-closure pattern as volumeStream with the ErrDataLoss
-// count-and-continue path added.
-type recoveryStream struct {
-	s      *RecoverySession
-	src    sim.Source[Request]
-	sink   sim.Sink[Completion]
-	r      Request // the in-flight request, valid between admit and serve
-	failed error
-	fire   func(*sim.Engine)
-}
-
-func (rs *recoveryStream) admit(e *sim.Engine) {
-	r, ok := rs.src.Next()
-	if !ok {
-		return
-	}
-	rs.r = r
-	e.At(r.Arrival, rs.fire)
-}
-
-func (rs *recoveryStream) serve(e *sim.Engine) {
-	c, err := rs.s.Serve(rs.r)
-	if errors.Is(err, ErrDataLoss) {
-		// Non-redundant level with a dead member: the request's data is
-		// gone, but the replay goes on — the report counts the casualties
-		// instead of aborting at the first one.
-		rs.s.report.LostRequests++
-		if rs.s.v.ins != nil {
-			rs.s.v.ins.lostRequests.Inc()
-		}
-		rs.admit(e)
-		return
-	}
-	if err != nil {
-		rs.failed = err
-		e.Fail(err)
-		return
-	}
-	recordSpan(e.Tracer(), &c)
-	rs.sink.Push(c)
-	rs.admit(e)
-}
-
-// RunStreamCtx is RunStream with cooperative cancellation: the source is
-// gated on ctx, so a cancelled context ends the replay at the next request
-// admission and is reported as ctx.Err() instead of a silently-short run.
-func (s *RecoverySession) RunStreamCtx(ctx context.Context, eng *sim.Engine, src sim.Source[Request], sink sim.Sink[Completion]) error {
-	if err := s.RunStream(eng, sim.Gate(ctx, src), sink); err != nil {
-		return err
-	}
-	return ctx.Err()
+	return nil
 }
 
 // Run services a workload (sorted by arrival internally) and returns the

@@ -1,7 +1,6 @@
 package raid
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -36,15 +35,30 @@ func (v *Volume) serveInto(c *Completion, r Request) error {
 	*c = Completion{}
 	c.Request = r
 	c.SubRequests = len(subs)
+	if _, err := v.join(c, subs); err != nil {
+		return err
+	}
+	if v.writeBack > 0 && r.Write {
+		c.Finish = r.Arrival + v.writeBack
+	}
+	v.ins.record(c)
+	return nil
+}
+
+// join services subs on their members in mapping order (each member's
+// FCFS queue advances independently) and folds them into c: the slowest
+// sub sets Finish, Parts and SlowestDisk, and member cache hits add to
+// CacheHits. The pick is deterministic — max finish, ties to the lowest
+// member index, the order the batch join scans disks in. A member error
+// stops the join and returns that member's index with the error.
+func (v *Volume) join(c *Completion, subs []sub) (failedDisk int, err error) {
 	c.SlowestDisk = -1
 	comp := &v.subDone
 	for i := range subs {
 		sb := &subs[i]
 		if err := v.disks[sb.disk].ServeInto(comp, sb.req); err != nil {
-			return err
+			return sb.disk, err
 		}
-		// Deterministic slowest-sub pick: max finish, ties to the lowest
-		// member index (the order the batch join always scanned disks in).
 		if c.SlowestDisk < 0 || comp.Finish > c.Finish ||
 			(comp.Finish == c.Finish && sb.disk < c.SlowestDisk) {
 			c.Finish = comp.Finish
@@ -55,86 +69,54 @@ func (v *Volume) serveInto(c *Completion, r Request) error {
 			c.CacheHits++
 		}
 	}
-	if v.writeBack > 0 && r.Write {
-		c.Finish = r.Arrival + v.writeBack
-	}
-	v.ins.record(c)
-	return nil
+	return -1, nil
 }
 
 // RunStream services volume requests pulled lazily from src, pushing each
 // completion to sink as it happens: memory stays O(1) in trace length. The
 // source must yield requests in nondecreasing arrival order (the trace
-// generators do); an out-of-order arrival aborts the run.
+// generators do); an out-of-order arrival fails the run with
+// sim.ErrOutOfOrder. Members configured with a reordering scheduler are
+// refused: only Simulate honours those.
 //
 // Requests are admitted as engine events at their arrival times, so sharing
 // eng with other processes (DTM sample ticks, a second volume) interleaves
-// them deterministically on one clock.
+// them deterministically on one clock; a context bound with
+// eng.SetContext cancels the run at its next event.
 func (v *Volume) RunStream(eng *sim.Engine, src sim.Source[Request], sink sim.Sink[Completion]) error {
+	if err := fcfsOnly("member", v.disks); err != nil {
+		return err
+	}
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
-	s := &volumeStream{v: v, src: src, sink: sink, last: -1}
-	s.fire = s.serve // one event closure for the whole run, not one per request
-	s.admit(eng)
-	if err := eng.Run(); err != nil {
-		return err
-	}
-	return s.failed
+	sim.Chain(eng, src, arrival, func(e *sim.Engine, r Request) bool {
+		var c Completion
+		if err := v.serveInto(&c, r); err != nil {
+			e.Fail(err)
+			return false
+		}
+		recordSpan(e.Tracer(), &c)
+		sink.Push(c)
+		return true
+	}, nil)
+	return eng.Run()
 }
 
-// volumeStream is RunStream's admission state. One struct and one pre-bound
-// event closure carry the entire run — only one admission is outstanding at
-// a time (the next request is pulled after the previous one is served), so
-// the single in-flight request slot suffices and the per-request path
-// allocates nothing.
-type volumeStream struct {
-	v      *Volume
-	src    sim.Source[Request]
-	sink   sim.Sink[Completion]
-	r      Request // the in-flight request, valid between admit and serve
-	last   time.Duration
-	failed error
-	fire   func(*sim.Engine)
-}
+// arrival is a request's admission time on the engine clock.
+func arrival(r Request) time.Duration { return r.Arrival }
 
-func (s *volumeStream) admit(e *sim.Engine) {
-	r, ok := s.src.Next()
-	if !ok {
-		return
+// fcfsOnly refuses disks with a reordering scheduler: the streaming
+// runners serve each disk FCFS, one request at a time, so only the batch
+// picker behind Simulate can honour SSTF, SPTF or LOOK. role names the
+// disks in the error ("member", "spare").
+func fcfsOnly(role string, disks []*disksim.Disk) error {
+	for i, d := range disks {
+		if s := d.Scheduler(); s != disksim.FCFS {
+			return fmt.Errorf("raid: %s %d uses the %v scheduler, which only Simulate honours; streaming runs serve FCFS", role, i, s)
+		}
 	}
-	if r.Arrival < s.last {
-		s.failed = fmt.Errorf("raid: stream out of order: request %d arrives at %v after %v",
-			r.ID, r.Arrival, s.last)
-		e.Fail(s.failed)
-		return
-	}
-	s.last = r.Arrival
-	s.r = r
-	e.At(r.Arrival, s.fire)
-}
-
-func (s *volumeStream) serve(e *sim.Engine) {
-	var c Completion
-	if err := s.v.serveInto(&c, s.r); err != nil {
-		s.failed = err
-		e.Fail(err)
-		return
-	}
-	recordSpan(e.Tracer(), &c)
-	s.sink.Push(c)
-	s.admit(e)
-}
-
-// RunStreamCtx is RunStream with cooperative cancellation: the source is
-// gated on ctx, so a cancelled context ends the replay at the next request
-// admission, and the cancellation is reported as ctx.Err() rather than a
-// silently-short run. The serving layer's job cancellation rides on this.
-func (v *Volume) RunStreamCtx(ctx context.Context, eng *sim.Engine, src sim.Source[Request], sink sim.Sink[Completion]) error {
-	if err := v.RunStream(eng, sim.Gate(ctx, src), sink); err != nil {
-		return err
-	}
-	return ctx.Err()
+	return nil
 }
 
 // Simulate runs a volume-level workload and returns completions sorted by

@@ -136,7 +136,9 @@ func (r *RAIDSpec) run(ctx context.Context, _ *Server, _ Spec, env runEnv) error
 			env.checkpoint(int64(count))
 		}
 	})
-	if err := sess.RunStreamCtx(ctx, sim.NewEngine(), src, sink); err != nil {
+	eng := sim.NewEngine()
+	eng.SetContext(ctx)
+	if err := sess.RunStream(eng, src, sink); err != nil {
 		return err
 	}
 	if emitErr != nil {

@@ -1,6 +1,15 @@
 package sim
 
-import "time"
+import (
+	"errors"
+	"fmt"
+	"math"
+	"time"
+)
+
+// ErrOutOfOrder fails a Chain whose source yields an item scheduled before
+// its predecessor.
+var ErrOutOfOrder = errors.New("sim: source out of order")
 
 // Chain pulls items from src one at a time and runs each through serve at
 // the instant at(item) returns. Only after serve returns true is the next
@@ -14,11 +23,16 @@ import "time"
 // per request, which profiling showed was one of the top allocation sites
 // on the 1M-request streaming path.)
 //
+// at must be nondecreasing along the source: every streaming runner's
+// contract is that its source yields arrivals in order. An item scheduled
+// before its predecessor fails the engine with ErrOutOfOrder rather than
+// being clamped to the current instant.
+//
 // serve returning false abandons the stream: nothing further is pulled and
 // onEnd does not run. onEnd, if non-nil, runs exactly once when src is
 // exhausted.
 func Chain[T any](eng *Engine, src Source[T], at func(T) time.Duration, serve func(*Engine, T) bool, onEnd func()) {
-	c := &chain[T]{src: src, at: at, serve: serve, onEnd: onEnd}
+	c := &chain[T]{src: src, at: at, serve: serve, onEnd: onEnd, last: math.MinInt64}
 	c.fire = c.run // bind the event closure once, not per item
 	c.admit(eng)
 }
@@ -29,6 +43,7 @@ type chain[T any] struct {
 	serve func(*Engine, T) bool
 	onEnd func()
 	item  T // the single in-flight item, valid between admit and run
+	last  time.Duration
 	fire  func(*Engine)
 }
 
@@ -40,8 +55,14 @@ func (c *chain[T]) admit(e *Engine) {
 		}
 		return
 	}
+	t := c.at(v)
+	if t < c.last {
+		e.Fail(fmt.Errorf("%w: item at %v after one at %v", ErrOutOfOrder, t, c.last))
+		return
+	}
+	c.last = t
 	c.item = v
-	e.At(c.at(v), c.fire)
+	e.At(t, c.fire)
 }
 
 func (c *chain[T]) run(e *Engine) {

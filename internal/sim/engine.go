@@ -12,6 +12,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -57,6 +58,8 @@ type Engine struct {
 	err     error
 	stopped bool
 	tracer  *obs.Tracer
+	ctx     context.Context
+	done    <-chan struct{} // ctx.Done(); nil when the run cannot be cancelled
 }
 
 // NewEngine returns an engine with its clock at zero.
@@ -70,6 +73,15 @@ func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
 
 // Tracer returns the attached span collector (nil when tracing is off).
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
+
+// SetContext binds the run to ctx: once ctx is done, Step fails the run
+// with ctx.Err() instead of firing the next event, so every process on the
+// engine stops at its next event. A context that can never be cancelled
+// (context.Background) has a nil Done channel, and the per-event check is
+// then a single nil branch.
+func (e *Engine) SetContext(ctx context.Context) {
+	e.ctx, e.done = ctx, ctx.Done()
+}
 
 // Now returns the current simulation time.
 func (e *Engine) Now() time.Duration { return e.now }
@@ -156,10 +168,19 @@ func (e *Engine) Fail(err error) {
 // Stop ends the run without error once the current handler finishes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Step fires the next event. It reports whether one fired.
+// Step fires the next event. It reports whether one fired; it fires none,
+// and fails the run with ctx.Err(), once the bound context is done.
 func (e *Engine) Step() bool {
 	if e.stopped || len(e.queue) == 0 {
 		return false
+	}
+	if e.done != nil {
+		select {
+		case <-e.done:
+			e.Fail(e.ctx.Err())
+			return false
+		default:
+		}
 	}
 	ev := e.pop()
 	if ev.at > e.now {
@@ -169,8 +190,9 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run fires events until the queue drains, a handler calls Stop, or a
-// handler calls Fail (whose error is returned).
+// Run fires events until the queue drains, a handler calls Stop, a
+// handler calls Fail (whose error is returned), or the context bound with
+// SetContext is done (ctx.Err() is returned).
 func (e *Engine) Run() error {
 	for e.Step() {
 	}

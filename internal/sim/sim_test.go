@@ -167,10 +167,18 @@ func TestSliceSourceAndCollect(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	src := Limit(FromSlice([]int{1, 2, 3, 4}), 2)
-	if got := Collect(src); len(got) != 2 {
-		t.Fatalf("limit collect %v, want 2 items", got)
+// TestFuncAdapters: SinkFunc and CheckpointFunc call through, and Discard
+// accepts anything.
+func TestFuncAdapters(t *testing.T) {
+	var got []int
+	var sink Sink[int] = SinkFunc[int](func(v int) { got = append(got, v) })
+	sink.Push(4)
+	Discard[int]().Push(5)
+	var pos int64
+	var cp Checkpointer = CheckpointFunc(func(p int64) { pos = p })
+	cp.Checkpoint(9)
+	if len(got) != 1 || got[0] != 4 || pos != 9 {
+		t.Fatalf("sink got %v, checkpoint %d; want [4] and 9", got, pos)
 	}
 }
 
@@ -183,19 +191,61 @@ func TestAppenderSink(t *testing.T) {
 	}
 }
 
-func TestGate(t *testing.T) {
+// TestEngineContextCancels: a context cancelled inside an event stops the
+// run before the next event fires and Run reports ctx.Err(); a context
+// that can never be cancelled changes nothing.
+func TestEngineContextCancels(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	src := Gate(ctx, FromSlice([]int{1, 2, 3, 4}))
-	if v, ok := src.Next(); !ok || v != 1 {
-		t.Fatalf("first Next = %d,%v, want 1,true", v, ok)
+	e := NewEngine()
+	e.SetContext(ctx)
+	var fired []int
+	e.At(time.Second, func(*Engine) { fired = append(fired, 1); cancel() })
+	e.At(2*time.Second, func(*Engine) { fired = append(fired, 2) })
+	if err := e.Run(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run err = %v, want context.Canceled", err)
 	}
-	cancel()
-	if v, ok := src.Next(); ok {
-		t.Fatalf("Next after cancel = %d,%v, want exhausted", v, ok)
+	if len(fired) != 1 || e.Pending() != 1 {
+		t.Fatalf("fired %v with %d pending, want [1] and 1", fired, e.Pending())
 	}
-	// A never-cancelled gate is transparent.
-	got := Collect(Gate(context.Background(), FromSlice([]int{5, 6})))
-	if len(got) != 2 || got[0] != 5 || got[1] != 6 {
-		t.Fatalf("transparent gate collect %v", got)
+
+	e = NewEngine()
+	e.SetContext(context.Background())
+	n := 0
+	e.Every(0, time.Millisecond, func(time.Duration) bool { n++; return n < 10 })
+	if err := e.Run(); err != nil || n != 10 {
+		t.Fatalf("background context: Run err = %v after %d ticks, want nil after 10", err, n)
+	}
+}
+
+// TestEngineContextDoneBeforeRun: a context already done when the run
+// starts fires nothing.
+func TestEngineContextDoneBeforeRun(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	<-ctx.Done()
+	e := NewEngine()
+	e.SetContext(ctx)
+	ran := false
+	e.At(0, func(*Engine) { ran = true })
+	if err := e.Run(); !errors.Is(err, context.DeadlineExceeded) || ran {
+		t.Fatalf("Run err = %v, ran = %v; want DeadlineExceeded and no event", err, ran)
+	}
+}
+
+// TestChainOutOfOrder: a source that goes back in time fails the engine
+// with ErrOutOfOrder after serving the items before it; equal times pass.
+func TestChainOutOfOrder(t *testing.T) {
+	e := NewEngine()
+	var served []int
+	ended := false
+	Chain(e, FromSlice([]int{1, 3, 3, 2, 5}),
+		func(v int) time.Duration { return time.Duration(v) * time.Second },
+		func(_ *Engine, v int) bool { served = append(served, v); return true },
+		func() { ended = true })
+	if err := e.Run(); !errors.Is(err, ErrOutOfOrder) {
+		t.Fatalf("Run err = %v, want ErrOutOfOrder", err)
+	}
+	if len(served) != 3 || served[2] != 3 || ended {
+		t.Fatalf("served %v, ended=%v; want [1 3 3] and no end", served, ended)
 	}
 }

@@ -1,7 +1,5 @@
 package sim
 
-import "context"
-
 // Source yields items lazily: Next returns the next item and true, or the
 // zero value and false once the stream is exhausted. Sources backed by a
 // seeded RNG must yield the identical sequence on every run.
@@ -57,34 +55,6 @@ func Collect[T any](src Source[T]) []T {
 		}
 		out = append(out, v)
 	}
-}
-
-// Limit caps a source at n items.
-func Limit[T any](src Source[T], n int64) Source[T] {
-	return SourceFunc[T](func() (T, bool) {
-		if n <= 0 {
-			var zero T
-			return zero, false
-		}
-		n--
-		return src.Next()
-	})
-}
-
-// Gate wraps src so it reports exhaustion once ctx is done. It is the
-// cooperative-cancellation hook for the streaming runs: the event loops
-// admit one request per Next, so a cancelled context ends the run at the
-// next admission instead of after the whole trace. With a never-cancelled
-// context the wrapped source yields the identical sequence (one nil-error
-// check per item), so gating does not disturb the bit-identity contract.
-func Gate[T any](ctx context.Context, src Source[T]) Source[T] {
-	return SourceFunc[T](func() (T, bool) {
-		if ctx.Err() != nil {
-			var zero T
-			return zero, false
-		}
-		return src.Next()
-	})
 }
 
 // Appender is a Sink that collects into a slice.

@@ -382,6 +382,8 @@ func runCell(ctx context.Context, cfg Config, s cellSpec, ins *dtm.Instruments) 
 
 	cell := Cell{Policy: s.policy, Workload: s.workload.Name, Regime: s.regime, Requests: cfg.Requests}
 	sink := sim.Discard[disksim.Completion]()
+	eng := sim.NewEngine()
+	eng.SetContext(ctx)
 
 	// The hot-speed entrants open in a thermal emergency: sustained
 	// worst-case load has driven the drive to its worst-case steady state,
@@ -408,7 +410,7 @@ func runCell(ctx context.Context, cfg Config, s cellSpec, ins *dtm.Instruments) 
 			Faults:  inj,
 			Ins:     ins,
 		}
-		res, err := dtm.RunStreamCtx(ctx, esc.RunStream, sim.NewEngine(), src, sink)
+		res, err := esc.RunStream(eng, src, sink)
 		if err != nil {
 			return Cell{}, err
 		}
@@ -452,7 +454,7 @@ func runCell(ctx context.Context, cfg Config, s cellSpec, ins *dtm.Instruments) 
 			Faults:     inj,
 			Ins:        ins,
 		}
-		res, err := dtm.RunStreamCtx(ctx, ctl.RunStream, sim.NewEngine(), src, sink)
+		res, err := ctl.RunStream(eng, src, sink)
 		if err != nil {
 			return Cell{}, err
 		}
@@ -482,7 +484,7 @@ func runCell(ctx context.Context, cfg Config, s cellSpec, ins *dtm.Instruments) 
 			Faults:   inj,
 			Ins:      ins,
 		}
-		res, err := dtm.RunStreamCtx(ctx, ramp.RunStream, sim.NewEngine(), src, sink)
+		res, err := ramp.RunStream(eng, src, sink)
 		if err != nil {
 			return Cell{}, err
 		}
