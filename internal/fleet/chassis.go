@@ -69,10 +69,12 @@ type arrival struct {
 
 func (a arrival) when() time.Duration { return a.at }
 
-// rngPool recycles the per-stream generators: a math/rand source is ~5 KB,
-// and every chassis needs one per slot. Seed resets a pooled source to
-// exactly the state rand.NewSource would build.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngPool recycles the per-stream generators: a source holds a ~5 KB
+// register, and every chassis needs one per slot. Each is a streamSource
+// (rng.go), whose Seed gives exactly rand.NewSource's value stream at a
+// fraction of its cost, so the arrival streams are the ones math/rand
+// would draw.
+var rngPool = sync.Pool{New: func() any { return rand.New(new(streamSource)) }}
 
 // fleetDrive is one slot's live state during a chassis simulation.
 type fleetDrive struct {

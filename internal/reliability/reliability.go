@@ -70,7 +70,41 @@ func (m Model) doubling() units.Celsius {
 // temperature relative to the reference (1.0 at the reference; 2.0 at
 // reference + 15 C; 0.5 at reference - 15 C).
 func (m Model) AccelerationAt(t units.Celsius) float64 {
-	return math.Pow(2, float64(t-m.reference())/float64(m.doubling()))
+	return pow2(float64(t-m.reference()) / float64(m.doubling()))
+}
+
+// ln2 is Log(2) as this platform's math.Log returns it, which is the factor
+// math.Pow(2, y) scales y's fraction by. It is computed, not the constant
+// math.Ln2: an assembly Log may round the last bit differently.
+var ln2 = math.Log(2)
+
+// pow2 returns math.Pow(2, y) bit for bit, at the cost of one Exp. For
+// x = 2, Pow splits |y| into yi + yf with yf in (−0.5, 0.5] (moving a
+// fraction above one half to the next integer) and returns
+// Ldexp(Exp(yf·Log 2), yi), inverted for negative y. Its Frexp squaring
+// loop only multiplies the mantissa by exact powers of two (0.5 per set
+// bit of yi) and adds the matching exponents back, and Ldexp rounds once
+// from mantissa bits and total exponent, so dropping the loop leaves every
+// bit unchanged. The inputs Pow answers by special case (0, 1, ±0.5, NaN,
+// ±Inf) and magnitudes from 2^52, whose fraction is empty and whose result
+// is 0 or +Inf, go to Pow itself.
+func pow2(y float64) float64 {
+	if y == 0 || y == 1 || y == 0.5 || y == -0.5 || !(math.Abs(y) < 1<<52) {
+		return math.Pow(2, y)
+	}
+	yi, yf := math.Modf(math.Abs(y))
+	a := 1.0
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a = math.Exp(yf * ln2)
+	}
+	if y < 0 {
+		return math.Ldexp(1/a, -int(yi))
+	}
+	return math.Ldexp(a, int(yi))
 }
 
 // AFRAt returns the annualized failure rate at a steady temperature.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"strconv"
@@ -268,10 +269,16 @@ func (s *Server) journalFinish(j *job) {
 }
 
 // checkpointer returns the sim.Checkpointer handed to this job's runner,
-// or nil when the server runs without a journal.
-func (s *Server) checkpointer(j *job) sim.Checkpointer {
+// or nil when the server runs without a journal. After each checkpoint is
+// durable the job consults chaos op "job.checkpoint": armed, it parks there
+// until ctx ends, which is how crash tests land a kill at a known point
+// with a known prefix on disk.
+func (s *Server) checkpointer(ctx context.Context, j *job) sim.Checkpointer {
 	if s.jrnl == nil {
 		return nil
 	}
-	return sim.CheckpointFunc(func(int64) { s.journalCheckpoint(j) })
+	return sim.CheckpointFunc(func(int64) {
+		s.journalCheckpoint(j)
+		s.cfg.Chaos.Stall(ctx, "job.checkpoint", s.cfg.JobTimeout)
+	})
 }

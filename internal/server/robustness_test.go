@@ -361,53 +361,73 @@ func TestJournalFailureUnblocksAttacher(t *testing.T) {
 	}
 }
 
+// referenceResult runs body on a journal-less server: the uninterrupted
+// result a crash test's resumed run must reproduce byte for byte.
+func referenceResult(t *testing.T, body string) []byte {
+	t.Helper()
+	ref := mustNew(t, testConfig())
+	defer ref.Shutdown(context.Background())
+	w, info := submitAsync(t, ref, body, "")
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("reference submit = %d: %s", w.Code, w.Body.String())
+	}
+	if st := waitStatus(t, ref, info.ID); st != StatusDone {
+		t.Fatalf("reference job = %q", st)
+	}
+	return getResult(t, ref, info.ID)
+}
+
+// crashAtCheckpoint submits body under key to a journaled server built
+// from cfg, parks the job just after its nth checkpoint is durable (chaos
+// op "job.checkpoint") and crashes the server there, as SIGKILL would:
+// journaling stops dead. The kill so lands mid-run with a non-empty prefix
+// on disk however fast the job runs, and the server is left crashed. It
+// returns the job's id.
+func crashAtCheckpoint(t *testing.T, cfg Config, body, key string, nth int) string {
+	t.Helper()
+	c := chaos.New(1)
+	c.On("job.checkpoint", nth)
+	cfg.Chaos = c
+	s := mustNew(t, cfg)
+	w, info := submitAsync(t, s, body, key)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", w.Code, w.Body.String())
+	}
+	j, _ := s.lookup(info.ID)
+	deadline := time.Now().Add(30 * time.Second)
+	for c.Fired("job.checkpoint") == 0 {
+		if st, _ := j.snapshot(); st.terminal() {
+			t.Fatalf("job ended %q before checkpoint %d", st, nth)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never reached checkpoint %d", nth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	j.mu.Lock()
+	durable := j.journaled
+	j.mu.Unlock()
+	if durable == 0 {
+		t.Fatalf("no result line durable at checkpoint %d", nth)
+	}
+	s.Crash()
+	return info.ID
+}
+
 // TestCrashResumeByteIdentity is the tentpole acceptance test: a job killed
 // mid-run (journaling stops dead, as under SIGKILL) resumes from its last
 // checkpoint after restart and produces NDJSON byte-identical to a run
 // that was never interrupted.
 func TestCrashResumeByteIdentity(t *testing.T) {
-	// Reference: the same job on a journal-less server.
 	body := `{"type":"dtm","dtm":{"policy":"envelope","requests":100000,"sample_every":200}}`
-	ref := mustNew(t, testConfig())
-	wr, infoRef := submitAsync(t, ref, body, "")
-	if wr.Code != http.StatusAccepted {
-		t.Fatalf("reference submit = %d", wr.Code)
-	}
-	if st := waitStatus(t, ref, infoRef.ID); st != StatusDone {
-		t.Fatalf("reference job = %q", st)
-	}
-	want := getResult(t, ref, infoRef.ID)
-	ref.Shutdown(context.Background())
+	want := referenceResult(t, body)
 
 	// Crash victim: checkpoint frequently so the kill lands mid-stream.
 	cfg := testConfig()
 	cfg.JournalDir = t.TempDir()
 	cfg.CheckpointEvery = 1000
 	cfg.Workers = 1
-	s1 := mustNew(t, cfg)
-
-	w, info := submitAsync(t, s1, body, "crash-key")
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("submit = %d", w.Code)
-	}
-	j, _ := s1.lookup(info.ID)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j.mu.Lock()
-		durable := j.journaled
-		j.mu.Unlock()
-		if durable >= 5 {
-			break // a real prefix is on disk; crash now
-		}
-		if st, _ := j.snapshot(); st.terminal() {
-			t.Fatal("job finished before the crash landed; raise requests")
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint ever landed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s1.Crash()
+	id := crashAtCheckpoint(t, cfg, body, "crash-key", 1)
 
 	// Restart over the same journal: the job must resume and complete.
 	cfg2 := testConfig()
@@ -419,19 +439,19 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	if got := s2.met.jobsResumed.Value(); got != 1 {
 		t.Fatalf("jobsResumed = %d, want 1", got)
 	}
-	if st := waitStatus(t, s2, info.ID); st != StatusDone {
-		j2, _ := s2.lookup(info.ID)
+	if st := waitStatus(t, s2, id); st != StatusDone {
+		j2, _ := s2.lookup(id)
 		_, errMsg := j2.snapshot()
 		t.Fatalf("resumed job = %q (%s), want done", st, errMsg)
 	}
-	got := getResult(t, s2, info.ID)
+	got := getResult(t, s2, id)
 	if string(got) != string(want) {
 		t.Fatalf("resumed result is not byte-identical (%d vs %d bytes)", len(got), len(want))
 	}
 	// The interrupted submission's key resolves to the resumed job.
 	w2, info2 := submitAsync(t, s2, body, "crash-key")
-	if w2.Code != http.StatusOK || info2.ID != info.ID {
-		t.Fatalf("post-crash dedup: %d job %s, want 200 %s", w2.Code, info2.ID, info.ID)
+	if w2.Code != http.StatusOK || info2.ID != id {
+		t.Fatalf("post-crash dedup: %d job %s, want 200 %s", w2.Code, info2.ID, id)
 	}
 }
 

@@ -581,7 +581,7 @@ func (s *Server) runJob(j *job) {
 	s.met.inflightDelta(1)
 	err := s.dispatch(ctx, j.spec, runEnv{
 		emit:            j.emit,
-		ckpt:            s.checkpointer(j),
+		ckpt:            s.checkpointer(ctx, j),
 		checkpointEvery: s.cfg.CheckpointEvery,
 	})
 	s.met.inflightDelta(-1)

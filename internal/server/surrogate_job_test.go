@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
-	"time"
 )
 
 // smallSurrogateTrainSpec is a grid just big enough to stream temp,
@@ -258,56 +257,25 @@ func TestSurrogateTrainCrashResumeByteIdentity(t *testing.T) {
 	}
 	body := string(b)
 
-	ref := mustNew(t, testConfig())
-	wr, infoRef := submitAsync(t, ref, body, "")
-	if wr.Code != http.StatusAccepted {
-		t.Fatalf("reference submit = %d: %s", wr.Code, wr.Body.String())
-	}
-	if st := waitStatus(t, ref, infoRef.ID); st != StatusDone {
-		t.Fatalf("reference job = %q", st)
-	}
-	want := getResult(t, ref, infoRef.ID)
-	ref.Shutdown(context.Background())
+	want := referenceResult(t, body)
 
 	cfg := testConfig()
 	cfg.JournalDir = t.TempDir()
 	cfg.Workers = 1
-	s1 := mustNew(t, cfg)
-
-	w, info := submitAsync(t, s1, body, "surrogate-crash-key")
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("submit = %d", w.Code)
-	}
-	j, _ := s1.lookup(info.ID)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j.mu.Lock()
-		durable := j.journaled
-		j.mu.Unlock()
-		if durable >= 1 {
-			break // at least one cell-window checkpoint is on disk; crash now
-		}
-		if st, _ := j.snapshot(); st.terminal() {
-			t.Fatal("training finished before the crash landed; raise the request count")
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint ever landed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s1.Crash()
+	// One cell-window checkpoint is on disk when the crash lands.
+	id := crashAtCheckpoint(t, cfg, body, "surrogate-crash-key", 1)
 
 	cfg2 := testConfig()
 	cfg2.JournalDir = cfg.JournalDir
 	s2 := mustNew(t, cfg2)
 	defer s2.Shutdown(context.Background())
 
-	if st := waitStatus(t, s2, info.ID); st != StatusDone {
-		j2, _ := s2.lookup(info.ID)
+	if st := waitStatus(t, s2, id); st != StatusDone {
+		j2, _ := s2.lookup(id)
 		_, errMsg := j2.snapshot()
 		t.Fatalf("resumed training job = %q (%s), want done", st, errMsg)
 	}
-	got := getResult(t, s2, info.ID)
+	got := getResult(t, s2, id)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed training result is not byte-identical (%d vs %d bytes)", len(got), len(want))
 	}

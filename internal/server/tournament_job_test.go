@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
-	"time"
 )
 
 // smallTournamentSpec is a bracket just big enough to stream several cell
@@ -142,45 +141,13 @@ func TestTournamentCrashResumeByteIdentity(t *testing.T) {
 	// before the crash.
 	body := `{"type":"tournament","workers":2,"tournament":{"requests":4000,"seed":7}}`
 
-	// Reference result from a journal-less server.
-	ref := mustNew(t, testConfig())
-	wr, infoRef := submitAsync(t, ref, body, "")
-	if wr.Code != http.StatusAccepted {
-		t.Fatalf("reference submit = %d: %s", wr.Code, wr.Body.String())
-	}
-	if st := waitStatus(t, ref, infoRef.ID); st != StatusDone {
-		t.Fatalf("reference job = %q", st)
-	}
-	want := getResult(t, ref, infoRef.ID)
-	ref.Shutdown(context.Background())
+	want := referenceResult(t, body)
 
 	cfg := testConfig()
 	cfg.JournalDir = t.TempDir()
 	cfg.Workers = 1
-	s1 := mustNew(t, cfg)
-
-	w, info := submitAsync(t, s1, body, "tournament-crash-key")
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("submit = %d", w.Code)
-	}
-	j, _ := s1.lookup(info.ID)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j.mu.Lock()
-		durable := j.journaled
-		j.mu.Unlock()
-		if durable >= 2 {
-			break // at least two cell checkpoints are on disk; crash now
-		}
-		if st, _ := j.snapshot(); st.terminal() {
-			t.Fatal("tournament finished before the crash landed; raise the request count")
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no cell checkpoint ever landed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s1.Crash()
+	// Two cell checkpoints are on disk when the crash lands.
+	id := crashAtCheckpoint(t, cfg, body, "tournament-crash-key", 2)
 
 	cfg2 := testConfig()
 	cfg2.JournalDir = cfg.JournalDir
@@ -190,12 +157,12 @@ func TestTournamentCrashResumeByteIdentity(t *testing.T) {
 	if got := s2.met.jobsResumed.Value(); got != 1 {
 		t.Fatalf("jobsResumed = %d, want 1", got)
 	}
-	if st := waitStatus(t, s2, info.ID); st != StatusDone {
-		j2, _ := s2.lookup(info.ID)
+	if st := waitStatus(t, s2, id); st != StatusDone {
+		j2, _ := s2.lookup(id)
 		_, errMsg := j2.snapshot()
 		t.Fatalf("resumed tournament job = %q (%s), want done", st, errMsg)
 	}
-	got := getResult(t, s2, info.ID)
+	got := getResult(t, s2, id)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed tournament result is not byte-identical (%d vs %d bytes)", len(got), len(want))
 	}

@@ -136,7 +136,7 @@ func (m *Model) ResetCacheStats() {
 // steadyCached wraps the direct steady solve with the memo store.
 func (m *Model) steadyCached(load Load) State {
 	if m.NoCache {
-		return m.steadyDirect(load)
+		return m.steadyDirect(load, true)
 	}
 	c := &m.cache
 	k := steadyKey(load, m.TemperatureDependentAir)
@@ -148,10 +148,10 @@ func (m *Model) steadyCached(load Load) State {
 		}
 		// Quantization alias: a different exact point owns this bucket.
 		c.steadyMisses.Add(1)
-		return m.steadyDirect(load)
+		return m.steadyDirect(load, true)
 	}
 	c.steadyMisses.Add(1)
-	st := m.steadyDirect(load)
+	st := m.steadyDirect(load, true)
 	c.steady.Store(k, steadyEntry{load: load, state: st})
 	return st
 }

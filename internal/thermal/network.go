@@ -251,14 +251,22 @@ func (m *Model) SteadyState(load Load) State {
 	return m.steadyCached(load)
 }
 
-// steadyDirect is the uncached steady solve.
-func (m *Model) steadyDirect(load Load) State {
+// steadyDirect is the uncached steady solve. memo routes the couplings
+// through the model's conductance memo; MaxRPM's scan, whose points are
+// each solved once, evaluates them directly and leaves the memo alone.
+func (m *Model) steadyDirect(load Load, memo bool) State {
 	// With fixed air properties the network is linear: one solve. With
 	// film-temperature properties, iterate the film temperature.
 	film := load.Ambient + 10
 	var st State
 	for iter := 0; iter < 50; iter++ {
-		st = m.solveLinear(load, film)
+		var g conductances
+		if memo {
+			g = m.condCached(load.RPM, film)
+		} else {
+			g = m.conductancesAt(load.RPM, film)
+		}
+		st = m.solveLinear(load, g)
 		next := (st.Air + load.Ambient) / 2
 		if math.Abs(float64(next-film)) < 0.01 || !m.TemperatureDependentAir {
 			return st
@@ -270,8 +278,7 @@ func (m *Model) steadyDirect(load Load) State {
 
 // solveLinear solves the 4-node steady heat balance by Gaussian elimination.
 // Node order: air, spindle, base, actuator.
-func (m *Model) solveLinear(load Load, film units.Celsius) State {
-	g := m.condCached(load.RPM, film)
+func (m *Model) solveLinear(load Load, g conductances) State {
 	pAir, pSpm, pAct := m.dutyInputs(m.spinLosses(load.RPM), load.VCMDuty)
 	amb := float64(load.Ambient)
 
@@ -509,9 +516,13 @@ func (m *Model) operatingPointAt(rpm units.RPM, film units.Celsius) operatingPoi
 // internal convection is too weak to carry the VCM heat out; at high speed
 // windage dominates), so the search first finds any feasible speed and then
 // bisects along the rising branch. It returns 0 if no speed is feasible.
+// Its few hundred probe points are solved directly, outside the memo: a
+// search visits each once, so storing them would only fill the model's
+// tables with entries nothing reads (the results are bit-identical either
+// way).
 func (m *Model) MaxRPM(envelope units.Celsius, vcmDuty float64, ambient units.Celsius) units.RPM {
 	tempAt := func(rpm float64) float64 {
-		st := m.SteadyState(Load{RPM: units.RPM(rpm), VCMDuty: vcmDuty, Ambient: ambient})
+		st := m.steadyDirect(Load{RPM: units.RPM(rpm), VCMDuty: vcmDuty, Ambient: ambient}, false)
 		return float64(st.Air)
 	}
 	// Feasibility uses a 1 mK slack: the envelope may sit exactly on the
